@@ -2,8 +2,9 @@
 
 Subcommands: count, table, enumerate, map, verify, export, asymptotic.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error,
-4 instance too large.  All output is UTF-8 text, newline terminated,
-byte-deterministic for identical arguments.
+4 instance too large (an enumeration cutoff, or recursion or memory
+exhausted).  All output is UTF-8 text, newline terminated, byte-deterministic
+for identical arguments.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from . import counting as cnt
 from . import verify as vfy
 from .errors import EmptyPartSet, InstanceTooLarge, InvalidInput, TwolineError
 from .objects import (
+    MODES,
     ChordConfig,
     ClosedSet,
     Composition,
@@ -26,7 +28,6 @@ from .objects import (
     Sum012,
     WeightedPath,
     enum_012,
-    enum_b_step_paths,
     enum_chords,
     enum_closed_sets,
     enum_compositions,
@@ -58,48 +59,38 @@ def _write(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+def _encode(obj) -> str:
+    return obj.encode()
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
 
-def _require(args, *names) -> list[int]:
-    vals = []
+def _require(args, names) -> None:
     for name in names:
-        v = getattr(args, name)
-        if v is None:
+        if getattr(args, name) is None:
             raise UsageError(f"family {args.family!r} needs --{name}")
-        vals.append(v)
-    return vals
+
+
+# family -> (required arguments, counter call on the parsed arguments).  The
+# count, table and enumerate calls look up `cnt` and the enumerators when they
+# run, so a substituted module is honoured.
+COUNTERS = {
+    "a": (("k", "n"), lambda a: cnt.a_long(a.k, a.n) if a.k >= 0 and a.n >= 0 else 0),
+    "b": (("k", "n"), lambda a: cnt.b_value(a.k, a.n)),
+    "z": (("n", "k"), lambda a: cnt.z_value(a.n, a.k)),
+    "d": (("k", "n"), lambda a: cnt.d_count(a.k, a.n)),
+    "m": (("k", "n"), lambda a: cnt.m_count(a.k, a.n)),
+    "s": (("n", "k"), lambda a: cnt.s_count(a.n, a.k)),
+    "r": (("n",), lambda a: cnt.r_diag(a.n)),
+}
 
 
 def cmd_count(args) -> int:
-    fam = args.family
-    if fam == "a":
-        k, n = _require(args, "k", "n")
-        val = cnt.a_long(k, n) if k >= 0 and n >= 0 else 0
-    elif fam == "b":
-        k, n = _require(args, "k", "n")
-        val = cnt.b_value(k, n)
-    elif fam == "z":
-        n, k = _require(args, "n", "k")
-        val = cnt.z_value(n, k)
-    elif fam == "d":
-        k, n = _require(args, "k", "n")
-        val = cnt.d_count(k, n)
-    elif fam == "m":
-        k, n = _require(args, "k", "n")
-        val = cnt.m_count(k, n)
-    elif fam == "s":
-        n, k = _require(args, "n", "k")
-        val = cnt.s_count(n, k)
-    elif fam == "r":
-        (n,) = _require(args, "n")
-        if n < 0:
-            raise UsageError("--n must be nonnegative")
-        val = cnt.r_diag(n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {fam!r}")
-    _write(f"{val}\n", args.out)
+    names, counter = COUNTERS[args.family]
+    _require(args, names)
+    _write(f"{counter(args)}\n", args.out)
     return EXIT_OK
 
 
@@ -107,29 +98,24 @@ def cmd_count(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _build_table(kind: str, max_scale: int) -> cnt.TriangleTable:
-    if max_scale < 0:
-        raise UsageError("--max must be nonnegative")
-    if kind == "a":
-        return cnt.a_table(2 * max_scale)
-    if kind == "b":
-        return cnt.b_table(max_scale)
-    return cnt.z_table(max_scale)
+# kind -> triangle up to row --max
+TABLES = {
+    "a": lambda m: cnt.a_table(2 * m),
+    "b": lambda m: cnt.b_table(m),
+    "z": lambda m: cnt.z_table(m),
+}
 
 
 def cmd_table(args) -> int:
-    table = _build_table(args.kind, args.max)
-    rows = list(table.rows())
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.max < 0:
+        raise UsageError("--max must be nonnegative")
+    rows = list(TABLES[args.kind](args.max).rows())
+    if args.format == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-    elif fmt == "json":
+    elif args.format == "json":
         text = json.dumps({"kind": args.kind, "rows": [list(r) for r in rows]}) + "\n"
-    elif fmt == "bfile":
-        flat = [v for row in rows for v in row]
-        text = "".join(f"{i} {v}\n" for i, v in enumerate(flat))
-    else:
-        raise UsageError(f"table cannot be written as {fmt!r}")
+    else:  # bfile
+        text = "".join(f"{i} {v}\n" for i, v in enumerate(v for row in rows for v in row))
     _write(text, args.out)
     return EXIT_OK
 
@@ -138,55 +124,37 @@ def cmd_table(args) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _enumerator(args):
-    fam = args.family
-    if fam == "matchings":
-        k, n = _require(args, "k", "n")
-        return enum_matchings(k, n)
-    if fam == "motzkin":
-        k, n = _require(args, "k", "n")
-        return enum_peakless(k, n)
-    if fam == "dominoes":
-        k, n = _require(args, "k", "n")
-        return enum_domino_pairs(k, n)
-    if fam == "closedsets":
-        (m,) = _require(args, "m")
-        return enum_closed_sets(m, size_filter=args.size)
-    if fam == "s012":
-        n, k = _require(args, "n", "k")
-        return enum_012(n, k)
-    if fam == "compositions":
-        (n,) = _require(args, "n")
-        part_set = PartSet.parse(args.set or "s1")
-        part_count = tuple(args.part_count) if args.part_count else None
-        return enum_compositions(
-            part_set, n, part_count=part_count, num_parts=args.summands
-        )
-    if fam == "weighted":
-        if args.cost is None:
-            raise UsageError("family 'weighted' needs --cost")
-        return enum_weighted_paths(args.cost)
-    if fam == "chords":
-        (n,) = _require(args, "n")
-        return enum_chords(n)
-    if fam == "lacings":
-        k, n = _require(args, "k", "n")
-        return enum_lacings(k, n, args.mode or "non_self_crossing")
-    if fam == "staircases":
-        k, n = _require(args, "k", "n")
-        return enum_staircases(k, n)
-    if fam == "steppaths":
-        k, n = _require(args, "k", "n")
-        return enum_b_step_paths(k, n)
-    raise UsageError(f"unknown family {fam!r}")  # pragma: no cover
+def _compositions(a):
+    part_count = tuple(a.part_count) if a.part_count else None
+    return enum_compositions(
+        PartSet.parse(a.set or "s1"), a.n, part_count=part_count, num_parts=a.summands
+    )
+
+
+# family -> (required arguments, enumerator call, encoder)
+ENUMERATORS = {
+    "matchings": (("k", "n"), lambda a: enum_matchings(a.k, a.n), _encode),
+    "motzkin": (("k", "n"), lambda a: enum_peakless(a.k, a.n), _encode),
+    "dominoes": (("k", "n"), lambda a: enum_domino_pairs(a.k, a.n), _encode),
+    "closedsets": (("m",), lambda a: enum_closed_sets(a.m, size_filter=a.size), _encode),
+    "s012": (("n", "k"), lambda a: enum_012(a.n, a.k), _encode),
+    "compositions": (("n",), _compositions, _encode),
+    "weighted": (("cost",), lambda a: enum_weighted_paths(a.cost), _encode),
+    "chords": (("n",), lambda a: enum_chords(a.n), _encode),
+    "lacings": (("k", "n"), lambda a: enum_lacings(a.k, a.n, a.mode), _encode),
+    "staircases": (("k", "n"), lambda a: enum_staircases(a.k, a.n), _encode),
+    "steppaths": (("k", "n"), lambda a: enum_staircases(a.k, a.n), Staircase.encode_steps),
+}
 
 
 def cmd_enumerate(args) -> int:
+    names, call, encode = ENUMERATORS[args.family]
+    _require(args, names)
     lines = []
-    for i, obj in enumerate(_enumerator(args)):
+    for i, obj in enumerate(call(args)):
         if args.limit is not None and i >= args.limit:
             break
-        lines.append(obj.encode())
+        lines.append(encode(obj))
     _write("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK
 
@@ -195,101 +163,75 @@ def cmd_enumerate(args) -> int:
 # map
 # ---------------------------------------------------------------------------
 
-def _map_split(args) -> str:
-    m = Matching.decode(args.object)
-    up, lo = bij.matching_split_horizontals(m)
-    enc = lambda pairs: ",".join(f"{a}-{b}" for a, b in pairs)
-    return f"{enc(up)};{enc(lo)}"
-
-
-def _map_join(args) -> str:
-    if args.k is None or args.n is None:
-        raise UsageError("join-horizontals needs --k and --n")
+def _halves(text: str, what: str) -> tuple[str, str]:
     try:
-        up_text, lo_text = args.object.split(";")
+        first, second = text.split(";")
     except ValueError:
-        raise UsageError("expected 'upper;lower' segment lists") from None
+        raise UsageError(f"expected {what}") from None
+    return first, second
+
+
+def _s1(text: str) -> Composition:
+    return Composition.decode(text, ONE_TWO)
+
+
+def _decode_segments(text: str):
     parse = lambda t: tuple(
         tuple(int(x) for x in tok.split("-")) for tok in t.split(",") if tok
     )
-    m = bij.matching_from_horizontals(args.k, args.n, parse(up_text), parse(lo_text))
-    return m.encode()
+    return tuple(map(parse, _halves(text, "'upper;lower' segment lists")))
 
 
-def _map_compositions_to_staircase(args) -> str:
-    try:
-        h_text, v_text = args.object.split(";")
-    except ValueError:
-        raise UsageError("expected 'horizontal;vertical' compositions") from None
-    h = Composition.decode(h_text, ONE_TWO)
-    v = Composition.decode(v_text, ONE_TWO)
-    return bij.composition_pair_to_staircase(h, v).encode()
+def _encode_segments(layout) -> str:
+    return ";".join(",".join(f"{a}-{b}" for a, b in pairs) for pairs in layout)
+
+
+# name -> (decoder, map, encoder).  join-horizontals also needs --k and --n,
+# which cmd_map puts in front of the decoded segment layout.
+MAPS = {
+    "closed-to-matching": (ClosedSet.decode, bij.closed_set_to_matching, _encode),
+    "matching-to-closed": (Matching.decode, bij.matching_to_closed_set, _encode),
+    "closed-to-012": (ClosedSet.decode, bij.closed_set_to_012, _encode),
+    "012-to-closed": (Sum012.decode, bij.sum012_to_closed_set, _encode),
+    "012-to-motzkin": (Sum012.decode, bij.s012_to_motzkin, _encode),
+    "motzkin-to-012": (MotzkinPath.decode, bij.motzkin_to_s012, _encode),
+    "matching-to-weighted": (Matching.decode, bij.matching_to_weighted_path, _encode),
+    "weighted-to-matching": (WeightedPath.decode, bij.weighted_path_to_matching, _encode),
+    "motzkin-to-chords": (MotzkinPath.decode, bij.motzkin_to_chords, _encode),
+    "chords-to-motzkin": (ChordConfig.decode, bij.chords_to_motzkin, _encode),
+    "split-horizontals": (Matching.decode, bij.matching_split_horizontals, _encode_segments),
+    "join-horizontals": (
+        _decode_segments,
+        lambda parts: bij.matching_from_horizontals(*parts),
+        _encode,
+    ),
+    "s1-to-domino": (_s1, bij.composition_s1_to_domino, str),
+    "domino-to-s1": (str.strip, bij.domino_to_composition_s1, _encode),
+    "s1-to-s2": (_s1, bij.composition_s1_to_s2, _encode),
+    "s2-to-s1": (lambda t: Composition.decode(t, ODD), bij.composition_s2_to_s1, _encode),
+    "staircase-to-compositions": (
+        Staircase.decode,
+        bij.staircase_to_composition_pair,
+        lambda pair: ";".join(map(_encode, pair)),
+    ),
+    "compositions-to-staircase": (
+        lambda t: tuple(map(_s1, _halves(t, "'horizontal;vertical' compositions"))),
+        lambda pair: bij.composition_pair_to_staircase(*pair),
+        _encode,
+    ),
+}
 
 
 def cmd_map(args) -> int:
-    name = args.bijection
-    simple = {
-        "closed-to-matching": (ClosedSet.decode, bij.closed_set_to_matching),
-        "matching-to-closed": (Matching.decode, bij.matching_to_closed_set),
-        "closed-to-012": (ClosedSet.decode, bij.closed_set_to_012),
-        "012-to-closed": (Sum012.decode, bij.sum012_to_closed_set),
-        "012-to-motzkin": (Sum012.decode, bij.s012_to_motzkin),
-        "motzkin-to-012": (MotzkinPath.decode, bij.motzkin_to_s012),
-        "matching-to-weighted": (Matching.decode, bij.matching_to_weighted_path),
-        "weighted-to-matching": (WeightedPath.decode, bij.weighted_path_to_matching),
-        "motzkin-to-chords": (MotzkinPath.decode, bij.motzkin_to_chords),
-        "chords-to-motzkin": (ChordConfig.decode, bij.chords_to_motzkin),
-        "s1-to-domino": (
-            lambda t: Composition.decode(t, ONE_TWO),
-            bij.composition_s1_to_domino,
-        ),
-        "domino-to-s1": (str.strip, bij.domino_to_composition_s1),
-        "s1-to-s2": (
-            lambda t: Composition.decode(t, ONE_TWO),
-            bij.composition_s1_to_s2,
-        ),
-        "s2-to-s1": (lambda t: Composition.decode(t, ODD), bij.composition_s2_to_s1),
-        "staircase-to-compositions": (
-            Staircase.decode,
-            lambda s: ";".join(c.encode() for c in bij.staircase_to_composition_pair(s)),
-        ),
-    }
-    if name in simple:
-        decode, fn = simple[name]
-        result = fn(decode(args.object))
-        text = result if isinstance(result, str) else result.encode()
-    elif name == "split-horizontals":
-        text = _map_split(args)
-    elif name == "join-horizontals":
-        text = _map_join(args)
-    elif name == "compositions-to-staircase":
-        text = _map_compositions_to_staircase(args)
+    decode, fn, encode = MAPS[args.bijection]
+    if args.bijection == "join-horizontals":
+        if args.k is None or args.n is None:
+            raise UsageError("join-horizontals needs --k and --n")
+        obj = (args.k, args.n, *decode(args.object))
     else:
-        raise UsageError(f"unknown bijection {name!r}")
-    _write(text + "\n", args.out)
+        obj = decode(args.object)
+    _write(encode(fn(obj)) + "\n", args.out)
     return EXIT_OK
-
-
-MAP_NAMES = (
-    "closed-to-matching",
-    "matching-to-closed",
-    "closed-to-012",
-    "012-to-closed",
-    "012-to-motzkin",
-    "motzkin-to-012",
-    "matching-to-weighted",
-    "weighted-to-matching",
-    "motzkin-to-chords",
-    "chords-to-motzkin",
-    "split-horizontals",
-    "join-horizontals",
-    "s1-to-domino",
-    "domino-to-s1",
-    "s1-to-s2",
-    "s2-to-s1",
-    "staircase-to-compositions",
-    "compositions-to-staircase",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +240,7 @@ MAP_NAMES = (
 
 def cmd_verify(args) -> int:
     report = vfy.run_suite(args.suite, args.max)
-    if (args.format or "json") == "text":
+    if args.format == "text":
         lines = [
             f"{'PASS' if c.ok else 'FAIL'} {c.id}: {c.detail}" for c in report.checks
         ]
@@ -351,7 +293,7 @@ def cmd_asymptotic(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     est = cnt.asymptotic_estimate(args.n)
-    if (args.format or "text") == "json":
+    if args.format == "json":
         text = json.dumps(
             {
                 "n": est.n,
@@ -375,9 +317,7 @@ def cmd_asymptotic(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv", "bfile"))
     common.add_argument("--out", metavar="PATH", help="write output to PATH")
-    common.add_argument("--limit", type=int, metavar="N", help="stop after N objects")
 
     p = argparse.ArgumentParser(
         prog="twoline",
@@ -387,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("count", parents=[common], help="print one exact count")
-    pc.add_argument("family", choices=("a", "b", "z", "d", "m", "s", "r"))
+    pc.add_argument("family", choices=COUNTERS)
     pc.add_argument("--k", type=int)
     pc.add_argument("--n", type=int)
     pc.set_defaults(func=cmd_count)
@@ -398,29 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a whole triangle (csv/json by rows, bfile as 'index value' "
         "lines over the rows flattened left to right, offset 0)",
     )
-    pt.add_argument("kind", choices=("a", "b", "z"))
+    pt.add_argument("kind", choices=TABLES)
     pt.add_argument("--max", type=int, required=True, help="last row index")
+    pt.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     pt.set_defaults(func=cmd_table)
 
     pe = sub.add_parser(
         "enumerate", parents=[common], help="list objects, one encoding per line"
     )
-    pe.add_argument(
-        "family",
-        choices=(
-            "matchings",
-            "motzkin",
-            "dominoes",
-            "closedsets",
-            "s012",
-            "compositions",
-            "weighted",
-            "chords",
-            "lacings",
-            "staircases",
-            "steppaths",
-        ),
-    )
+    pe.add_argument("family", choices=ENUMERATORS)
     pe.add_argument("--k", type=int)
     pe.add_argument("--n", type=int)
     pe.add_argument("--m", type=int, help="fence size for closedsets")
@@ -435,13 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep compositions with part P appearing exactly C times",
     )
     pe.add_argument("--summands", type=int, help="keep compositions with this many parts")
-    pe.add_argument("--mode", choices=("right", "non_self_crossing"))
+    pe.add_argument("--mode", choices=MODES, default="non_self_crossing")
+    pe.add_argument("--limit", type=int, metavar="N", help="stop after N objects")
     pe.set_defaults(func=cmd_enumerate)
 
     pm = sub.add_parser(
         "map", parents=[common], help="apply a bijection to an encoded object"
     )
-    pm.add_argument("bijection", choices=MAP_NAMES)
+    pm.add_argument("bijection", choices=MAPS)
     pm.add_argument("object", help="canonical encoding of the input object")
     pm.add_argument("--k", type=int, help="line sizes for join-horizontals")
     pm.add_argument("--n", type=int)
@@ -450,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("--suite", choices=vfy.SUITES, default="all")
     pv.add_argument("--max", type=int, help="override the suite's scale")
+    pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=cmd_verify)
 
     px = sub.add_parser(
@@ -466,17 +394,23 @@ def build_parser() -> argparse.ArgumentParser:
         "asymptotic", parents=[common], help="leading-term estimate vs exact r(n)"
     )
     pa.add_argument("--n", type=int, required=True)
+    pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=cmd_asymptotic)
     return p
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+ caps int -> str
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InstanceTooLarge as exc:
         print(f"twoline: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except (RecursionError, MemoryError) as exc:
+        print(f"twoline: instance too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (UsageError, InvalidInput, EmptyPartSet, ValueError) as exc:
         print(f"twoline: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ from .fence import FENCE_MAX_SIZE, ClosedSet, enum_closed_sets
 from .lacing import LACING_MAX_HOLES, MODES, Lacing, enum_lacings, segments_cross
 from .matching import MATCHING_MAX_SUM, Matching, enum_matchings
 from .motzkin import MOTZKIN_MAX_STEPS, MotzkinPath, enum_peakless
-from .staircase import STAIRCASE_MAX_SUM, Staircase, enum_staircases
-from .steppath import STEPPATH_MAX_SUM, StepPath, enum_b_step_paths
+from .staircase import STAIRCASE_MAX_SUM, Staircase, enum_b_step_paths, enum_staircases
 from .sums012 import SUM012_MAX_TERMS, Sum012, enum_012
 from .weighted import WEIGHTED_MAX_COST, WeightedPath, enum_weighted_paths
 
@@ -26,7 +25,6 @@ __all__ = [
     "Matching",
     "MotzkinPath",
     "Staircase",
-    "StepPath",
     "Sum012",
     "WeightedPath",
     "enum_012",
@@ -51,7 +49,6 @@ __all__ = [
     "MODES",
     "MOTZKIN_MAX_STEPS",
     "STAIRCASE_MAX_SUM",
-    "STEPPATH_MAX_SUM",
     "SUM012_MAX_TERMS",
     "WEIGHTED_MAX_COST",
 ]

@@ -3,7 +3,9 @@
 A staircase starts with a horizontal run and ends with a vertical one, so
 it is a sequence of (h, v) run pairs; the horizontal lengths form one
 {1,2}-composition and the vertical lengths another, with equally many
-summands.
+summands.  Read as lattice steps, the same pairs are a path to (k, n) with
+steps (1,1), (1,2), (2,1), (2,2): a step path is a staircase in the step
+encoding `11-22-21`.
 """
 from __future__ import annotations
 
@@ -58,6 +60,21 @@ class Staircase:
                 raise InvalidInput(f"bad run pair {a},{b}") from None
         return cls(tuple(runs))
 
+    def encode_steps(self) -> str:
+        return "-".join(f"{h}{v}" for h, v in self.runs)
+
+    @classmethod
+    def decode_steps(cls, text: str) -> "Staircase":
+        text = text.strip()
+        if not text:
+            return cls(())
+        runs = []
+        for tok in text.split("-"):
+            if len(tok) != 2 or not tok.isdigit():
+                raise InvalidInput(f"bad step token {tok!r}")
+            runs.append((int(tok[0]), int(tok[1])))
+        return cls(tuple(runs))
+
 
 def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
     """All staircases from (0,0) to (k,n), ordered by their run sequence."""
@@ -83,3 +100,7 @@ def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
                 buf.pop()
 
     yield from rec(k, n)
+
+
+# Step paths are staircases (see the module docstring) under their own name.
+enum_b_step_paths = enum_staircases

