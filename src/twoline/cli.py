@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 
 from . import bijections as bij
 from . import counting as cnt
@@ -77,7 +78,7 @@ def _require(args, names) -> None:
 # count, table and enumerate calls look up `cnt` and the enumerators when they
 # run, so a substituted module is honoured.
 COUNTERS = {
-    "a": (("k", "n"), lambda a: cnt.a_long(a.k, a.n) if a.k >= 0 and a.n >= 0 else 0),
+    "a": (("k", "n"), lambda a: cnt.a_long(a.k, a.n)),
     "b": (("k", "n"), lambda a: cnt.b_value(a.k, a.n)),
     "z": (("n", "k"), lambda a: cnt.z_value(a.n, a.k)),
     "d": (("k", "n"), lambda a: cnt.d_count(a.k, a.n)),
@@ -260,18 +261,21 @@ SEQUENCES = ("A079487", "A051286", "A125250", "A078698")
 
 def _export_terms(seq: str, terms: int) -> list[int]:
     if seq == "A051286":
-        return [cnt.r_diag(n) for n in range(terms)]
+        return list(islice(cnt.r_diag_terms(), terms))
     if seq == "A078698":
         return [
-            math.factorial(n - 1) ** 2 * cnt.r_diag(n) for n in range(1, terms + 1)
+            math.factorial(n - 1) ** 2 * r
+            for n, r in zip(range(1, terms + 1), islice(cnt.r_diag_terms(), 1, None))
         ]
-    flat: list[int] = []
+    if seq == "A125250":  # staircase triangle by rows, rows 0..last
+        last = 0
+        while (last + 1) * (last + 2) // 2 < terms:
+            last += 1
+        return [v for row in cnt.b_table(last).rows() for v in row][:terms]
+    flat: list[int] = []  # A079487: fence triangle by rows
     row = 0
     while len(flat) < terms:
-        if seq == "A079487":
-            flat.extend(cnt.z_value(row, k) for k in range(row + 1))
-        else:  # A125250: staircase triangle by rows
-            flat.extend(cnt.b_value(i, row - i) for i in range(row + 1))
+        flat.extend(cnt.z_value(row, k) for k in range(row + 1))
         row += 1
     return flat[:terms]
 

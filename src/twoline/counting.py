@@ -13,15 +13,17 @@ Naming used throughout (mirrors the canonical text encodings and the CLI):
   s(n, k)   n-term 0-1-2 sums equal to k with no 2 immediately before a 0
   r(n)      the diagonal a(n, n)
 
-All values are exact Python ints.  Tables are immutable once built and the
-single-value counters are memoized pure functions, so everything here can
-be shared freely across threads.
+All values are exact Python ints.  Tables are immutable once built, and the
+single-value counters are bottom-up loops over rolling rows: no recursion,
+and nothing they build outlives the call (z_value alone keeps a memo).  So
+everything here can be shared freely across threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
@@ -98,24 +100,26 @@ def a_table(max_sum: int) -> TriangleTable:
     return TriangleTable("a", max_sum, t)
 
 
-@lru_cache(maxsize=None)
 def a_long(k: int, n: int) -> int:
     """a(k, n) through the one-sided recurrence
 
         a(k, n) = a(k-2, n) + a(k-1, n-1) + a(k-1, n-3) + a(k-1, n-5) + ...
 
-    Memoized with no eviction; the target index ranges are small.
+    Rows i = 0..k of a(i, 0..n) are built from rows i-1 and i-2; the tail
+    a(i-1, j-1) + a(i-1, j-3) + ... is a running sum over the entries of
+    row i's parity class, so the cost is O(k n) additions.
     """
     if k < 0 or n < 0 or (k + n) % 2 == 1:
         return 0
-    if k == 0:
-        return 1
-    total = a_long(k - 2, n)
-    j = n - 1
-    while j >= 0:
-        total += a_long(k - 1, j)
-        j -= 2
-    return total
+    older, row = [0] * (n + 1), [1 - j % 2 for j in range(n + 1)]  # rows -1 and 0
+    for i in range(1, k + 1):
+        tail = 0
+        for j in range(i % 2, n + 1, 2):  # a(i, j) = 0 when i + j is odd
+            if j:
+                tail += row[j - 1]
+            older[j] += tail
+        older, row = row, older
+    return row[n]
 
 
 def a_binomial(k: int, n: int) -> int:
@@ -129,31 +133,39 @@ def a_binomial(k: int, n: int) -> int:
 
 
 def a_diag_binomial(n: int) -> int:
-    """Diagonal closed form: sum of C(n-l, l)^2 over 0 <= l <= n//2."""
-    return sum(math.comb(n - l, l) ** 2 for l in range(n // 2 + 1))
+    """Diagonal closed form: sum of C(n-l, l)^2 over 0 <= l <= n//2.
+
+    Each C(n-l, l) comes from the one before by the exact ratio
+    (n-2l+2)(n-2l+1) / (l (n-l+1)).
+    """
+    total, c = 0, 1
+    for l in range(n // 2 + 1):
+        if l:
+            c = c * (n - 2 * l + 2) * (n - 2 * l + 1) // (l * (n - l + 1))
+        total += c * c
+    return total
 
 
-def b_table(max_sum: int) -> TriangleTable:
-    """Triangle of b(k, n) for k + n <= max_sum.
+def _b_rows(width: int) -> Iterator[list[int]]:
+    """Rows b(k, 0..width) for k = 0, 1, 2, ...: the one b recurrence.
 
     b(k, n) = b(k-1, n-1) + b(k-1, n-2) + b(k-2, n-1) + b(k-2, n-2) holds
     everywhere except (0, 0); the degenerate convention b(0,0) = 1 and
     b(k, n) = 0 when min(k, n) <= 0 elsewhere falls out of the recurrence.
     """
-    t: dict[tuple[int, int], int] = {(0, 0): 1}
+    older, row = [0] * (width + 1), [1] + [0] * width
+    while True:
+        yield row
+        # s[j + 2] = b(k, j) + b(k-1, j), so b(k+1, j) = s[j + 1] + s[j]
+        s = [0, 0] + [x + y for x, y in zip(row, older)]
+        older, row = row, [x + y for x, y in zip(s[: width + 1], s[1:])]
 
-    def get(k, n):
-        return t.get((k, n), 0)
 
-    for s in range(1, max_sum + 1):
-        for k in range(s + 1):
-            n = s - k
-            t[(k, n)] = (
-                get(k - 1, n - 1)
-                + get(k - 1, n - 2)
-                + get(k - 2, n - 1)
-                + get(k - 2, n - 2)
-            )
+def b_table(max_sum: int) -> TriangleTable:
+    """Triangle of b(k, n) for k + n <= max_sum, from the rows of _b_rows."""
+    t: dict[tuple[int, int], int] = {}
+    for k, row in zip(range(max_sum + 1), _b_rows(max_sum)):
+        t.update(((k, n), v) for n, v in enumerate(row[: max_sum - k + 1]))
     return TriangleTable("b", max_sum, t)
 
 
@@ -181,19 +193,11 @@ def z_table(max_row: int) -> TriangleTable:
     return TriangleTable("z", max_row, t)
 
 
-@lru_cache(maxsize=None)
 def b_value(k: int, n: int) -> int:
-    """Single b(k, n) via the memoized recurrence."""
-    if k == 0 and n == 0:
-        return 1
+    """Single b(k, n): entry n of row k of _b_rows."""
     if k < 0 or n < 0:
         return 0
-    return (
-        b_value(k - 1, n - 1)
-        + b_value(k - 1, n - 2)
-        + b_value(k - 2, n - 1)
-        + b_value(k - 2, n - 2)
-    )
+    return next(islice(_b_rows(n), k, None))[n]
 
 
 @lru_cache(maxsize=None)
@@ -220,31 +224,33 @@ def fibonacci(m: int) -> int:
     return _FIB[m]
 
 
-_R_DIAG = [1, 1, 2, 5]
-
-
-def r_diag(n: int) -> int:
-    """Diagonal value r(n) = a(n, n) by the holonomic recurrence
+def r_diag_terms() -> Iterator[int]:
+    """r(0), r(1), r(2), ... with r(n) = a(n, n), by the holonomic recurrence
 
         n r(n) = (2n-1) r(n-1) + (n-1) r(n-2) + (2n-3) r(n-3) - (n-2) r(n-4)
 
-    with seeds r(0..3) = 1, 1, 2, 5.  The division by n is asserted exact.
+    with seeds r(0..3) = 1, 1, 2, 5, keeping a window of four terms.  The
+    division by n is asserted exact.
     """
+    r4, r3, r2, r1 = 1, 1, 2, 5  # r(i-4), ..., r(i-1) for i = 4
+    yield from (r4, r3, r2, r1)
+    i = 4
+    while True:
+        q, rem = divmod(
+            (2 * i - 1) * r1 + (i - 1) * r2 + (2 * i - 3) * r3 - (i - 2) * r4, i
+        )
+        if rem:
+            raise NonIntegralRecurrenceStep(f"step {i} not divisible by {i}")
+        r4, r3, r2, r1 = r3, r2, r1, q
+        yield q
+        i += 1
+
+
+def r_diag(n: int) -> int:
+    """Diagonal value r(n) = a(n, n), term n of r_diag_terms."""
     if n < 0:
         raise ValueError("negative diagonal index")
-    r = _R_DIAG
-    while len(r) <= n:
-        i = len(r)
-        num = (
-            (2 * i - 1) * r[i - 1]
-            + (i - 1) * r[i - 2]
-            + (2 * i - 3) * r[i - 3]
-            - (i - 2) * r[i - 4]
-        )
-        if num % i != 0:
-            raise NonIntegralRecurrenceStep(f"step {i} not divisible by {i}")
-        r.append(num // i)
-    return r[n]
+    return next(islice(r_diag_terms(), n, None))
 
 
 def asymptotic_estimate(n: int) -> AsymptoticEstimate:
@@ -280,63 +286,47 @@ def m_count(k: int, n: int) -> int:
     """Peakless Motzkin paths with k steps ending at height n.
 
     Uses the last-step recurrence
-    m(k, n) = m(k-1, n-1) + m(k-1, n) + m(k-1, n+1) - m(k-2, n).
+    m(k, n) = m(k-1, n-1) + m(k-1, n) + m(k-1, n+1) - m(k-2, n)
+    on two rolling rows; the row after i steps covers the heights -i..i.
     """
     if abs(n) > k:
         return 0
-
-    @lru_cache(maxsize=None)
-    def rec(i, h):
-        if abs(h) > i:
-            return 0
-        if i == 0:
-            return 1 if h == 0 else 0
-        return rec(i - 1, h - 1) + rec(i - 1, h) + rec(i - 1, h + 1) - rec(i - 2, h)
-
-    return rec(k, n)
+    older, row = [], [1]  # steps -1 and 0
+    for _ in range(k):
+        p, o = [0, 0] + row + [0, 0], [0, 0] + older + [0, 0]
+        older, row = row, [a + b + c - d for a, b, c, d in zip(p, p[1:], p[2:], o)]
+    return row[k + n]
 
 
 def s_count(n: int, k: int) -> int:
     """0-1-2 sums: n ordered summands totalling k, never 0 right after 2."""
     if n < 0 or k < 0 or k > 2 * n:
         return 0
-    # state: (total so far, last summand was 2)
-    cur = {(0, False): 1}
+    # sums so far by total 0..k: the last summand was not 2, and was 2
+    free, after2 = [1] + [0] * k, [0] * (k + 1)
     for _ in range(n):
-        nxt: dict[tuple[int, bool], int] = {}
-        for (t, after2), ways in cur.items():
-            for d in (0, 1, 2):
-                if d == 0 and after2:
-                    continue
-                if t + d > k:
-                    continue
-                key = (t + d, d == 2)
-                nxt[key] = nxt.get(key, 0) + ways
-        cur = nxt
-    return sum(w for (t, _), w in cur.items() if t == k)
-
-
-def _tilings_by_verticals(width: int) -> dict[int, int]:
-    """Number of 2 x width domino tilings, bucketed by vertical-domino count."""
-    rows: list[dict[int, int]] = [{0: 1}, {1: 1}]
-    while len(rows) <= width:
-        w = len(rows)
-        acc: dict[int, int] = {}
-        for j, c in rows[w - 1].items():  # leftmost column vertical
-            acc[j + 1] = acc.get(j + 1, 0) + c
-        for j, c in rows[w - 2].items():  # two stacked horizontals
-            acc[j] = acc.get(j, 0) + c
-        rows.append(acc)
-    return rows[width]
+        ends = [0] + [f + a for f, a in zip(free, after2)]  # ends[t] = all sums at t - 1
+        free, after2 = [f + e for f, e in zip(free, ends)], [0] + ends[:k]
+    return free[k] + after2[k]
 
 
 def d_count(k: int, n: int) -> int:
-    """Pairs of 2xk and 2xn domino tilings with equal numbers of verticals."""
+    """Pairs of 2xk and 2xn domino tilings with equal numbers of verticals.
+
+    One pass over the widths 0..max(k, n) counts 2 x width tilings by their
+    number of verticals (a leftmost vertical, or two stacked horizontals),
+    keeping the two previous widths and the counts at width min(k, n).
+    """
     if k < 0 or n < 0:
         return 0
-    left = _tilings_by_verticals(k)
-    right = _tilings_by_verticals(n)
-    return sum(c * right.get(j, 0) for j, c in left.items())
+    lo, hi = min(k, n), max(k, n)
+    older, row = [], [1]  # widths -1 and 0
+    narrow = row
+    for w in range(1, hi + 1):
+        older, row = row, [v + h for v, h in zip([0] + row, older + [0, 0])]
+        if w == lo:
+            narrow = row
+    return sum(a * b for a, b in zip(narrow, row))
 
 
 def signed_step_path_count(k: int, n: int) -> int:

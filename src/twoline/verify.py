@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import bijections as bij
 from . import counting as cnt
@@ -66,6 +67,20 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _add_identity(rep: VerificationReport, id: str, detail: str, indices, holds) -> None:
+    """Add check `id`, which passes when holds(*i) for every index tuple i;
+    a failing check appends the first i that breaks it."""
+    bad = next((i for i in indices if not holds(*i)), None)
+    if bad is not None:
+        detail += f"; first mismatch ({', '.join(map(str, bad))})"
+    rep.add(id, bad is None, detail)
+
+
+def _pairs(max_sum: int):
+    """(k, n) for k + n <= max_sum, by antidiagonals."""
+    return ((k, s - k) for s in range(max_sum + 1) for k in range(s + 1))
+
+
 def _gf_table(max_sum: int):
     denom = ser.series2(
         {(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}, max_sum, max_sum
@@ -78,46 +93,31 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
     table = cnt.a_table(max_sum)
     gf = _gf_table(max_sum)
 
-    bad = [
-        (k, n)
-        for s in range(max_sum + 1)
-        for k in range(s + 1)
-        for n in [s - k]
-        if not (
-            table.value(k, n)
-            == cnt.a_long(k, n)
-            == cnt.a_binomial(k, n)
-            == gf.coeff(k, n)
-        )
-    ]
-    rep.add(
+    _add_identity(
+        rep,
         "four-way-agreement",
-        not bad,
         f"recurrence table, long recurrence, binomial sum and series extraction "
-        f"agree for k+n <= {max_sum}" + (f"; first mismatch {bad[0]}" if bad else ""),
+        f"agree for k+n <= {max_sum}",
+        _pairs(max_sum),
+        lambda k, n: table.value(k, n)
+        == cnt.a_long(k, n)
+        == cnt.a_binomial(k, n)
+        == gf.coeff(k, n),
     )
 
     signed_max = min(max_sum, 20)
-    bad = [
-        (k, n)
-        for s in range(signed_max + 1)
-        for k in range(s + 1)
-        for n in [s - k]
-        if cnt.signed_step_path_count(k, n) != table.value(k, n)
-    ]
-    rep.add(
+    _add_identity(
+        rep,
         "signed-path-agreement",
-        not bad,
-        f"signed lattice-path enumeration agrees for k+n <= {signed_max}"
-        + (f"; first mismatch {bad[0]}" if bad else ""),
+        f"signed lattice-path enumeration agrees for k+n <= {signed_max}",
+        _pairs(signed_max),
+        lambda k, n: cnt.signed_step_path_count(k, n) == table.value(k, n),
     )
 
     sym_ok = all(
         table.value(k, n) == table.value(n, k)
         and (table.value(k, n) == 0 or (k + n) % 2 == 0)
-        for s in range(max_sum + 1)
-        for k in range(s + 1)
-        for n in [s - k]
+        for k, n in _pairs(max_sum)
     )
     rep.add("symmetry-and-parity", sym_ok, "a(k,n) = a(n,k); odd k+n entries vanish")
 
@@ -131,35 +131,37 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
     rep.add("row-unimodality", uni_ok, "rows weakly increase toward their centre")
 
     mmax = max_sum // 2
-    ok = all(
-        cnt.m_count(k, n) == cnt.a_long(k - n, k + n)
-        for k in range(mmax + 1)
-        for n in range(-k, k + 1)
+    _add_identity(
+        rep,
+        "peakless-index-identity",
+        f"m(k,n) = a(k-n,k+n) for k <= {mmax}",
+        ((k, n) for k in range(mmax + 1) for n in range(-k, k + 1)),
+        lambda k, n: cnt.m_count(k, n) == cnt.a_long(k - n, k + n),
     )
-    rep.add("peakless-index-identity", ok, f"m(k,n) = a(k-n,k+n) for k <= {mmax}")
 
     zt = cnt.z_table(max_sum)
-    ok = all(
-        zt.value(2 * n, k) == cnt.a_long(2 * n - k, k)
-        for n in range(max_sum // 2 + 1)
-        for k in range(2 * n + 1)
+    fence = [(n, k) for n in range(max_sum // 2 + 1) for k in range(2 * n + 1)]
+    _add_identity(
+        rep,
+        "fence-index-identity",
+        f"z(2n,k) = a(2n-k,k) for 2n <= {max_sum}",
+        fence,
+        lambda n, k: zt.value(2 * n, k) == cnt.a_long(2 * n - k, k),
     )
-    rep.add("fence-index-identity", ok, f"z(2n,k) = a(2n-k,k) for 2n <= {max_sum}")
-
-    ok = all(
-        cnt.s_count(n, k) == zt.value(2 * n, k)
-        for n in range(max_sum // 2 + 1)
-        for k in range(2 * n + 1)
+    _add_identity(
+        rep,
+        "sum012-identity",
+        f"s(n,k) = z(2n,k) for 2n <= {max_sum}",
+        fence,
+        lambda n, k: cnt.s_count(n, k) == zt.value(2 * n, k),
     )
-    rep.add("sum012-identity", ok, f"s(n,k) = z(2n,k) for 2n <= {max_sum}")
-
-    ok = all(
-        cnt.d_count(k, n) == table.value(k, n)
-        for s in range(max_sum + 1)
-        for k in range(s + 1)
-        for n in [s - k]
+    _add_identity(
+        rep,
+        "domino-identity",
+        f"d(k,n) = a(k,n) for k+n <= {max_sum}",
+        _pairs(max_sum),
+        lambda k, n: cnt.d_count(k, n) == table.value(k, n),
     )
-    rep.add("domino-identity", ok, f"d(k,n) = a(k,n) for k+n <= {max_sum}")
 
     bt = cnt.b_table(max_sum)
     bgf = ser.bivariate_inverse_coeffs(
@@ -171,19 +173,20 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
         max_sum,
         max_sum,
     )
-    ok = all(
-        bt.value(k, n) == bgf.coeff(k, n)
-        for s in range(max_sum + 1)
-        for k in range(s + 1)
-        for n in [s - k]
+    _add_identity(
+        rep,
+        "b-series-agreement",
+        f"b recurrence matches series extraction for k+n <= {max_sum}",
+        _pairs(max_sum),
+        lambda k, n: bt.value(k, n) == bgf.coeff(k, n),
     )
-    rep.add("b-series-agreement", ok, f"b recurrence matches series extraction for k+n <= {max_sum}")
-
-    ok = all(
-        bt.value(n, n) == table.value(n, n) == cnt.r_diag(n)
-        for n in range(max_sum // 2 + 1)
+    _add_identity(
+        rep,
+        "diagonal-b-identity",
+        "b(n,n) = a(n,n) = r(n)",
+        ((n,) for n in range(max_sum // 2 + 1)),
+        lambda n: bt.value(n, n) == table.value(n, n) == cnt.r_diag(n),
     )
-    rep.add("diagonal-b-identity", ok, "b(n,n) = a(n,n) = r(n)")
     return rep
 
 
@@ -207,14 +210,30 @@ def suite_fibonacci(max_m: int = 30) -> VerificationReport:
 def suite_diagonal(max_n: int = 200) -> VerificationReport:
     rep = VerificationReport("diagonal")
     g = ser.inv_sqrt_trunc(ser.series([1, -2, -1, -2, 1]), max_n)
-    ok = all(cnt.r_diag(n) == g.coeff(n) for n in range(max_n + 1))
-    rep.add("series-route", ok, f"holonomic recurrence matches the inverse square root series up to n = {max_n}")
-    ok = all(cnt.r_diag(n) == cnt.a_diag_binomial(n) for n in range(max_n + 1))
-    rep.add("binomial-route", ok, f"holonomic recurrence matches the squared-binomial sum up to n = {max_n}")
+    rs = list(islice(cnt.r_diag_terms(), max_n + 1))
+    _add_identity(
+        rep,
+        "series-route",
+        f"holonomic recurrence matches the inverse square root series up to n = {max_n}",
+        ((n,) for n in range(max_n + 1)),
+        lambda n: rs[n] == g.coeff(n),
+    )
+    _add_identity(
+        rep,
+        "binomial-route",
+        f"holonomic recurrence matches the squared-binomial sum up to n = {max_n}",
+        ((n,) for n in range(max_n + 1)),
+        lambda n: rs[n] == cnt.a_diag_binomial(n),
+    )
     amax = min(max_n, 100)
     table = cnt.a_table(2 * amax)
-    ok = all(cnt.r_diag(n) == table.value(n, n) for n in range(amax + 1))
-    rep.add("table-route", ok, f"diagonal of the recurrence table agrees up to n = {amax}")
+    _add_identity(
+        rep,
+        "table-route",
+        f"diagonal of the recurrence table agrees up to n = {amax}",
+        ((n,) for n in range(amax + 1)),
+        lambda n: rs[n] == table.value(n, n),
+    )
     rep.add("anchor-r5", cnt.r_diag(5) == 26, "r(5) = 26")
     return rep
 

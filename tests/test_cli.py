@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +210,16 @@ class TestVerify:
         passing = [x for x in out.splitlines() if x.startswith("PASS")]
         assert passing and not any("first failure" in x for x in passing)
 
+    def test_failed_counting_check_names_its_index(self, capsys, monkeypatch):
+        d_count = cnt.d_count
+        monkeypatch.setattr(cnt, "d_count", lambda k, n: d_count(k, n) + ((k, n) == (3, 5)))
+        code, out, _ = run(capsys, "verify", "--suite", "triangle", "--format", "text")
+        assert code == 1
+        line = next(x for x in out.splitlines() if " domino-identity:" in x)
+        assert line == "FAIL domino-identity: d(k,n) = a(k,n) for k+n <= 16; first mismatch (3, 5)"
+        passing = [x for x in out.splitlines() if x.startswith("PASS")]
+        assert len(passing) == 9 and not any("first mismatch" in x for x in passing)
+
     def test_lacing_suite_records_resolution(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lacing")
         report = json.loads(out)
@@ -282,3 +296,43 @@ def test_count_matches_enumerate(capsys):
         _, lines, _ = run(capsys, "enumerate", family, *args)
         _, value, _ = run(capsys, "count", *count_args)
         assert len(lines.splitlines()) == int(value)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int -> str digit limit of Python 3.11+ for one test, as main does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv, code, value",
+    [
+        ("count a --k 1200 --n 1200", 0, lambda: cnt.a_binomial(1200, 1200)),
+        ("count b --k 1500 --n 1500", 0, lambda: cnt.a_diag_binomial(1500)),
+        ("count m --k 1200 --n 0", 0, lambda: cnt.a_binomial(1200, 1200)),
+        ("count r --n 10400", 0, lambda: cnt.a_diag_binomial(10400)),
+        ("count a --k 2000 --n 2000", 0, lambda: cnt.a_binomial(2000, 2000)),
+        ("count z --n 1500 --k 500", 4, None),  # z_value still recurses
+    ],
+)
+def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoline.cli", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if value is None:
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    else:
+        assert proc.stdout == f"{value()}\n"

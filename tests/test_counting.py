@@ -1,6 +1,10 @@
 import math
+from functools import lru_cache
+from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twoline import counting as cnt
 from twoline import series as ser
@@ -302,3 +306,119 @@ def test_gf_extraction_matches_triangle():
     for s in range(15):
         for k in range(s + 1):
             assert inv.coeff(k, s - k) == t.value(k, s - k)
+
+
+# The top-down recurrences the bottom-up kernels replaced, kept here as
+# oracles only.  They recurse, so they are used at small indices.
+
+@lru_cache(maxsize=None)
+def a_oracle(k, n):
+    if k < 0 or n < 0 or (k + n) % 2 == 1:
+        return 0
+    if k == 0:
+        return 1
+    return a_oracle(k - 2, n) + sum(a_oracle(k - 1, j) for j in range(n - 1, -1, -2))
+
+
+@lru_cache(maxsize=None)
+def b_oracle(k, n):
+    if k == 0 and n == 0:
+        return 1
+    if k < 0 or n < 0:
+        return 0
+    return b_oracle(k - 1, n - 1) + b_oracle(k - 1, n - 2) + b_oracle(k - 2, n - 1) + b_oracle(k - 2, n - 2)
+
+
+@lru_cache(maxsize=None)
+def m_oracle(i, h):
+    if abs(h) > i:
+        return 0
+    if i == 0:
+        return 1 if h == 0 else 0
+    return m_oracle(i - 1, h - 1) + m_oracle(i - 1, h) + m_oracle(i - 1, h + 1) - m_oracle(i - 2, h)
+
+
+@lru_cache(maxsize=None)
+def tilings_oracle(width, verticals):
+    """2 x width domino tilings with this many vertical dominoes."""
+    if width < 0 or verticals < 0:
+        return 0
+    if width == 0:
+        return 1 if verticals == 0 else 0
+    return tilings_oracle(width - 1, verticals - 1) + tilings_oracle(width - 2, verticals)
+
+
+def d_oracle(k, n):
+    if k < 0 or n < 0:
+        return 0
+    return sum(tilings_oracle(k, v) * tilings_oracle(n, v) for v in range(min(k, n) + 1))
+
+
+@lru_cache(maxsize=None)
+def s_oracle(n, k, after2=False):
+    """n-term 0-1-2 sums totalling k, no 0 right after a 2 (after2: the
+    summand before the first one was a 2)."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k < 0:
+        return 0
+    return sum(
+        s_oracle(n - 1, k - d, d == 2) for d in (0, 1, 2) if not (d == 0 and after2)
+    )
+
+
+# 0 <= k, n <= 30, plus a few negative indices; odd k + n included
+INDEX = st.integers(min_value=-3, max_value=30)
+
+
+class TestKernelsMatchOracles:
+    @given(INDEX, INDEX)
+    def test_a_long(self, k, n):
+        assert cnt.a_long(k, n) == a_oracle(k, n)
+
+    @given(INDEX, INDEX)
+    def test_b_value(self, k, n):
+        assert cnt.b_value(k, n) == b_oracle(k, n)
+
+    @given(INDEX, st.integers(min_value=-33, max_value=33))
+    def test_m_count(self, k, n):
+        assert cnt.m_count(k, n) == (m_oracle(k, n) if abs(n) <= k else 0)
+
+    @given(INDEX, INDEX)
+    def test_d_count(self, k, n):
+        assert cnt.d_count(k, n) == d_oracle(k, n)
+
+    @given(INDEX, st.integers(min_value=-3, max_value=63))
+    def test_s_count(self, n, k):
+        assert cnt.s_count(n, k) == (s_oracle(n, k) if n >= 0 else 0)
+
+    def test_b_table_rows_are_b_values(self):
+        t = cnt.b_table(30)
+        assert t.entries == {(k, s - k): b_oracle(k, s - k) for s in range(31) for k in range(s + 1)}
+
+    def test_diagonal_binomial_ratio_matches_comb(self):
+        for n in range(-2, 200):
+            want = sum(math.comb(n - l, l) ** 2 for l in range(n // 2 + 1))
+            assert cnt.a_diag_binomial(n) == want
+
+
+class TestKernelsAtScale:
+    """Sizes past Python's recursion limit that the seed recursions could not reach."""
+
+    def test_a_long_2000(self):
+        assert cnt.a_long(2000, 2000) == cnt.a_binomial(2000, 2000)
+
+    def test_b_value_1500_is_the_diagonal(self):
+        assert cnt.b_value(1500, 1500) == cnt.a_diag_binomial(1500)
+
+    def test_m_count_1200(self):
+        assert cnt.m_count(1200, 0) == cnt.a_binomial(1200, 1200)
+
+    def test_r_terms_agree_with_r_diag_and_binomial_sum(self):
+        terms = list(islice(cnt.r_diag_terms(), 301))
+        assert terms == [cnt.r_diag(n) for n in range(301)]
+        assert terms == [cnt.a_diag_binomial(n) for n in range(301)]
+
+    def test_only_z_value_keeps_a_memo(self):
+        memoized = [name for name, f in vars(cnt).items() if hasattr(f, "cache_info")]
+        assert memoized == ["z_value"]
