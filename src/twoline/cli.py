@@ -74,6 +74,12 @@ def _require(args, names) -> None:
             raise UsageError(f"family {args.family!r} needs --{name}")
 
 
+def _nonnegative(args, name) -> None:
+    value = getattr(args, name)
+    if value is not None and value < 0:
+        raise UsageError(f"--{name} must be nonnegative")
+
+
 # family -> (required arguments, counter call on the parsed arguments).  The
 # count, table and enumerate calls look up `cnt` and the enumerators when they
 # run, so a substituted module is honoured.
@@ -108,8 +114,7 @@ TABLES = {
 
 
 def cmd_table(args) -> int:
-    if args.max < 0:
-        raise UsageError("--max must be nonnegative")
+    _nonnegative(args, "max")
     rows = list(TABLES[args.kind](args.max).rows())
     if args.format == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
@@ -151,12 +156,8 @@ ENUMERATORS = {
 def cmd_enumerate(args) -> int:
     names, call, encode = ENUMERATORS[args.family]
     _require(args, names)
-    lines = []
-    for i, obj in enumerate(call(args)):
-        if args.limit is not None and i >= args.limit:
-            break
-        lines.append(encode(obj))
-    _write("".join(line + "\n" for line in lines), args.out)
+    _nonnegative(args, "limit")
+    _write("".join(encode(obj) + "\n" for obj in islice(call(args), args.limit)), args.out)
     return EXIT_OK
 
 
@@ -240,6 +241,7 @@ def cmd_map(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    _nonnegative(args, "max")
     report = vfy.run_suite(args.suite, args.max)
     if args.format == "text":
         lines = [

@@ -124,8 +124,10 @@ def enum_chords(n: int) -> Iterator[ChordConfig]:
     """All symmetric configurations on n points per sector, in canonical order.
 
     Arc compatibility is pairwise, so configurations are exactly the
-    cliques of the candidate compatibility graph; they are enumerated by
-    ordered extension.
+    cliques of the candidate compatibility graph.  Cliques are grown by
+    ordered extension, which visits them in lexicographic order; the inner
+    arcs are grown first, and each inner set is followed by the cross-arc
+    sets compatible with it, which is the order of `ChordConfig.sort_key`.
     """
     if n > CHORDS_MAX_POINTS:
         raise InstanceTooLarge(f"chord enumeration capped at n <= {CHORDS_MAX_POINTS}")
@@ -133,23 +135,20 @@ def enum_chords(n: int) -> Iterator[ChordConfig]:
         return
     cands = _candidates(n)
     m = len(cands)
-    compat = [[_compatible(cands[a], cands[b], n) for b in range(m)] for a in range(m)]
+    # row a of the compatibility matrix as a bit mask over the candidates
+    compat = [sum(1 << b for b in range(m) if _compatible(cands[a], cands[b], n)) for a in range(m)]
+    inner = sum(1 << c for c in range(m) if cands[c][0] == "inner")
+    cross = ((1 << m) - 1) ^ inner
 
-    found: list[ChordConfig] = []
-    picked: list[int] = []
+    def cliques(allowed: int, picked=(), common=-1) -> Iterator[tuple[tuple[Arc, ...], int]]:
+        """`picked` and its extensions by candidates in `allowed`, in lexicographic
+        order, each with the mask of candidates compatible with all its arcs."""
+        yield picked, common
+        while allowed:
+            c = (allowed & -allowed).bit_length() - 1
+            allowed ^= 1 << c
+            yield from cliques(allowed & compat[c], picked + (cands[c][1],), common & compat[c])
 
-    def emit() -> None:
-        inner = tuple(cands[i][1] for i in picked if cands[i][0] == "inner")
-        cross = tuple(cands[i][1] for i in picked if cands[i][0] == "cross")
-        found.append(ChordConfig(n, inner, cross))
-
-    def rec(allowed: list[int]) -> None:
-        emit()
-        for idx, c in enumerate(allowed):
-            picked.append(c)
-            rec([d for d in allowed[idx + 1 :] if compat[c][d]])
-            picked.pop()
-
-    rec(list(range(m)))
-    found.sort(key=ChordConfig.sort_key)
-    yield from found
+    for ins, common in cliques(inner):
+        for crs, _ in cliques(common & cross):
+            yield ChordConfig(n, ins, crs)

@@ -81,17 +81,15 @@ class Lacing:
     def sort_key(self):
         return tuple(_coord(h) for h in self.order)
 
-    def _neighbours(self, idx: int) -> list[Hole]:
-        out = []
-        if idx > 0:
-            out.append(self.order[idx - 1])
-        if idx + 1 < len(self.order):
-            out.append(self.order[idx + 1])
-        if idx == 0:
-            out.append(self.order[-1])  # knot
-        if idx == len(self.order) - 1:
-            out.append(self.order[0])  # knot
-        return out
+    def unlaced_hole(self) -> Hole | None:
+        """The first hole with no lace-neighbour on the opposite side, or None
+        when every hole has one.  The knot closes the lace into a cycle, so
+        the first and last holes are neighbours."""
+        sides = [h[0] for h in self.order]
+        for idx, h in enumerate(self.order):
+            if sides[idx - 1] == h[0] == sides[(idx + 1) % len(sides)]:
+                return h
+        return None
 
     def segments(self) -> list[tuple[Hole, Hole]]:
         return list(zip(self.order, self.order[1:]))
@@ -111,9 +109,9 @@ class Lacing:
         holes += [("R", j) for j in range(1, self.n + 1)]
         if sorted(self.order) != sorted(holes):
             raise InvalidInput("order is not a permutation of the holes")
-        for idx, h in enumerate(self.order):
-            if not any(nb[0] != h[0] for nb in self._neighbours(idx)):
-                raise InvalidInput(f"hole {h} has no opposite-side neighbour")
+        lonely = self.unlaced_hole()
+        if lonely is not None:
+            raise InvalidInput(f"hole {lonely} has no opposite-side neighbour")
         first, last = self.order[0], self.order[-1]
         if first != ("L", 1):
             raise InvalidInput("lacing must start at the top-left hole")

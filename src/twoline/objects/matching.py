@@ -115,50 +115,34 @@ class Matching:
         return cls(k, n, tuple(pairs))
 
 
-def _line_configs(size: int) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-    """All ways to lay disjoint adjacent-pair segments on `size` points.
-
-    Returns (segments, free_points) tuples; segments join (i, i+1).
-    """
-    out = []
-
-    def rec(pos: int, segs: list, free: list) -> None:
-        if pos > size:
-            out.append((tuple(segs), tuple(free)))
-            return
-        free.append(pos)
-        rec(pos + 1, segs, free)
-        free.pop()
-        if pos + 1 <= size:
-            segs.append((pos, pos + 1))
-            rec(pos + 2, segs, free)
-            segs.pop()
-
-    rec(1, [], [])
-    return out
+def _lower_run(last: int, stop: int) -> tuple[Pair, ...]:
+    """Lower points last+1..stop paired with their right neighbours."""
+    return tuple((("L", j), ("L", j + 1)) for j in range(last + 1, stop, 2))
 
 
 def enum_matchings(k: int, n: int) -> Iterator[Matching]:
     """All noncrossing matchings of (k, n) points, in canonical order.
 
-    A matching is determined by the same-line segments on each line plus
-    the forced left-to-right joining of the leftover points, so we
-    enumerate segment layouts per line and keep the pairs with equally
-    many leftovers.
+    Depth first over the first unmatched upper point: it joins its right
+    neighbour, or the next lower point that leaves an even gap (the skipped
+    lower points pair up with their neighbours).  Partners are tried in
+    point order, which is the order of `Matching.sort_key`.  Once the upper
+    line is used up, the lower points left over pair up with their
+    neighbours.
     """
     if k + n > MATCHING_MAX_SUM:
         raise InstanceTooLarge(f"matchings capped at k+n <= {MATCHING_MAX_SUM}")
     if k < 0 or n < 0 or (k + n) % 2 == 1:
         return
-    lower_by_free: dict[int, list] = {}
-    for segs, free in _line_configs(n):
-        lower_by_free.setdefault(len(free), []).append((segs, free))
-    found = []
-    for usegs, ufree in _line_configs(k):
-        for lsegs, lfree in lower_by_free.get(len(ufree), []):
-            pairs: list[Pair] = [(("U", a), ("U", b)) for a, b in usegs]
-            pairs += [(("L", a), ("L", b)) for a, b in lsegs]
-            pairs += [(("U", u), ("L", l)) for u, l in zip(ufree, lfree)]
-            found.append(Matching(k, n, tuple(pairs)))
-    found.sort(key=Matching.sort_key)
-    yield from found
+
+    def rec(u: int, last: int, pairs: tuple[Pair, ...]) -> Iterator[Matching]:
+        # upper points before u and lower points up to `last` are matched
+        if u > k:
+            yield Matching(k, n, pairs + _lower_run(last, n))
+            return
+        if u < k:
+            yield from rec(u + 2, last, pairs + ((("U", u), ("U", u + 1)),))
+        for j in range(last + 1, n + 1, 2):
+            yield from rec(u + 1, j, pairs + _lower_run(last, j - 1) + ((("U", u), ("L", j)),))
+
+    yield from rec(1, 0, ())

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, permutations
 
 from . import bijections as bij
 from . import counting as cnt
 from . import series as ser
 from .objects import (
+    Lacing,
     enum_012,
     enum_chords,
     enum_closed_sets,
@@ -81,6 +82,10 @@ def _pairs(max_sum: int):
     return ((k, s - k) for s in range(max_sum + 1) for k in range(s + 1))
 
 
+def _size(gen) -> int:
+    return sum(1 for _ in gen)
+
+
 def _gf_table(max_sum: int):
     denom = ser.series2(
         {(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}, max_sum, max_sum
@@ -114,21 +119,26 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
         lambda k, n: cnt.signed_step_path_count(k, n) == table.value(k, n),
     )
 
-    sym_ok = all(
-        table.value(k, n) == table.value(n, k)
-        and (table.value(k, n) == 0 or (k + n) % 2 == 0)
-        for k, n in _pairs(max_sum)
+    _add_identity(
+        rep,
+        "symmetry-and-parity",
+        "a(k,n) = a(n,k); odd k+n entries vanish",
+        _pairs(max_sum),
+        lambda k, n: table.value(k, n) == table.value(n, k)
+        and (table.value(k, n) == 0 or (k + n) % 2 == 0),
     )
-    rep.add("symmetry-and-parity", sym_ok, "a(k,n) = a(n,k); odd k+n entries vanish")
 
-    uni_ok = True
-    for r in range(max_sum // 2 + 1):
-        row = table.row(r)
-        half = row[: len(row) // 2 + 1]
-        if list(half) != sorted(half):
-            uni_ok = False
-            break
-    rep.add("row-unimodality", uni_ok, "rows weakly increase toward their centre")
+    def rises_to_centre(r):
+        half = table.row(r)[: r + 1]
+        return list(half) == sorted(half)
+
+    _add_identity(
+        rep,
+        "row-unimodality",
+        "rows weakly increase toward their centre",
+        ((r,) for r in range(max_sum // 2 + 1)),
+        rises_to_centre,
+    )
 
     mmax = max_sum // 2
     _add_identity(
@@ -193,17 +203,21 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
 def suite_fibonacci(max_m: int = 30) -> VerificationReport:
     rep = VerificationReport("fibonacci")
     table = cnt.a_table(2 * max_m - 2 if max_m >= 1 else 0)
-    ok = all(
-        sum(table.row(m - 1)) == cnt.fibonacci(2 * m) for m in range(1, max_m + 1)
-    )
-    rep.add(
+    _add_identity(
+        rep,
         "a-row-sums",
-        ok,
         f"row m of the matching triangle sums to F(2m) for m <= {max_m}",
+        ((m,) for m in range(1, max_m + 1)),
+        lambda m: sum(table.row(m - 1)) == cnt.fibonacci(2 * m),
     )
     zt = cnt.z_table(max_m)
-    ok = all(sum(zt.row(m)) == cnt.fibonacci(m + 2) for m in range(max_m + 1))
-    rep.add("z-row-sums", ok, f"fence row m sums to F(m+2) for m <= {max_m}")
+    _add_identity(
+        rep,
+        "z-row-sums",
+        f"fence row m sums to F(m+2) for m <= {max_m}",
+        ((m,) for m in range(max_m + 1)),
+        lambda m: sum(zt.row(m)) == cnt.fibonacci(m + 2),
+    )
     return rep
 
 
@@ -267,14 +281,18 @@ def suite_asymptotics() -> VerificationReport:
 
 def suite_bounds(max_sum: int = 60) -> VerificationReport:
     rep = VerificationReport("bounds")
-    ok = all(
-        cnt.fib_bound_check(k, n)
-        for s in range(max_sum + 1)
-        for k in range(s + 1)
-        for n in [s - k]
+    table = cnt.a_table(max(max_sum, 80))
+    _add_identity(
+        rep,
+        "fibonacci-bound",
+        f"a(k,n) <= F(k+n) for k+n <= {max_sum}",
+        _pairs(max_sum),
+        # a(0,0) = 1 is its own base case, as in cnt.fib_bound_check
+        lambda k, n: table.value(k, n) == 1
+        if k + n == 0
+        else table.value(k, n) <= cnt.fibonacci(k + n),
     )
-    rep.add("fibonacci-bound", ok, f"a(k,n) <= F(k+n) for k+n <= {max_sum}")
-    a4040_t = cnt.a_table(80).value(40, 40)
+    a4040_t = table.value(40, 40)
     a4040_b = cnt.a_binomial(40, 40)
     rep.add(
         "forty-points-bound",
@@ -381,7 +399,7 @@ def suite_bijections(max_scale: int = 12) -> VerificationReport:
 def suite_lacing() -> VerificationReport:
     rep = VerificationReport("lacing")
     for n in (2, 3, 4):
-        got = sum(1 for _ in enum_lacings(n, n, "right"))
+        got = _size(enum_lacings(n, n, "right"))
         want = math.factorial(n - 1) ** 2 * cnt.a_long(n, n)
         rep.add(
             f"right-count-{n}x{n}",
@@ -389,7 +407,7 @@ def suite_lacing() -> VerificationReport:
             f"brute force found {got}, formula ((n-1)!)^2 a(n,n) gives {want}",
         )
     for n in (2, 3, 4):
-        got = sum(1 for _ in enum_lacings(n, n, "non_self_crossing"))
+        got = _size(enum_lacings(n, n, "non_self_crossing"))
         rep.add(
             f"noncrossing-count-{n}x{n}",
             got == cnt.a_long(n, n),
@@ -399,8 +417,8 @@ def suite_lacing() -> VerificationReport:
     ok_all = True
     for k, n in ((2, 3), (3, 4), (2, 4)):
         b = cnt.b_table(k + n).value(k, n)
-        ncross = sum(1 for _ in enum_lacings(k, n, "non_self_crossing"))
-        right = sum(1 for _ in enum_lacings(k, n, "right"))
+        ncross = _size(enum_lacings(k, n, "non_self_crossing"))
+        right = _size(enum_lacings(k, n, "right"))
         free = _count_unrestricted_lacings(k, n)
         formula = math.factorial(k - 1) * math.factorial(n - 1) * b
         free_formula = math.factorial(k) * math.factorial(n) * b
@@ -426,99 +444,56 @@ def suite_lacing() -> VerificationReport:
 
 def _count_unrestricted_lacings(k: int, n: int) -> int:
     """Lacings free of the topmost-pair rule: start on the left, end on the
-    right, every hole once, every hole with an opposite-side lace-neighbour
-    (knot edge included)."""
-    import itertools
-
+    right, every hole once, every hole with an opposite-side lace-neighbour."""
     holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
-    count = 0
-    for perm in itertools.permutations(holes):
-        if perm[0][0] != "L" or perm[-1][0] != "R":
-            continue
-        total = len(perm)
-        ok = True
-        for idx, h in enumerate(perm):
-            nbs = []
-            if idx > 0:
-                nbs.append(perm[idx - 1])
-            if idx + 1 < total:
-                nbs.append(perm[idx + 1])
-            if idx == 0:
-                nbs.append(perm[-1])
-            if idx == total - 1:
-                nbs.append(perm[0])
-            if not any(nb[0] != h[0] for nb in nbs):
-                ok = False
-                break
-        count += ok
-    return count
-
-
-def _enum_count(gen) -> int:
-    return sum(1 for _ in gen)
+    return sum(
+        1
+        for order in permutations(holes)
+        if order[0][0] == "L"
+        and order[-1][0] == "R"
+        and Lacing(k, n, order).unlaced_hole() is None
+    )
 
 
 def suite_enumeration(max_scale: int = 12) -> VerificationReport:
     """Cardinality agreement between every enumerator and its counter."""
     rep = VerificationReport("enumeration")
     s = min(max_scale, 12)
-    ok = all(
-        _enum_count(enum_matchings(k, t - k)) == cnt.a_long(k, t - k)
-        for t in range(s + 1)
-        for k in range(t + 1)
+    small, lmax = min(s // 2 + 2, 8), min(s, 8)
+    zt, bt = cnt.z_table(s), cnt.b_table(s)
+    # check id, detail, indices, enumerator size == counter value at those indices
+    rows = (
+        ("matchings", f"matching enumeration sizes equal a(k,n) for k+n <= {s}",
+         _pairs(s), lambda k, n: _size(enum_matchings(k, n)) == cnt.a_long(k, n)),
+        ("peakless-paths", f"path enumeration sizes equal m(k,n) for k <= {min(s, 10)}",
+         ((k, n) for k in range(min(s, 10) + 1) for n in range(-k, k + 1)),
+         lambda k, n: _size(enum_peakless(k, n)) == cnt.m_count(k, n)),
+        ("domino-pairs", "tiling-pair enumeration sizes equal d(k,n)",
+         ((k, n) for k in range(small + 1) for n in range(small + 1)),
+         lambda k, n: _size(enum_domino_pairs(k, n)) == cnt.d_count(k, n)),
+        ("closed-sets", f"closed-set enumeration sizes equal z(m,k) for m <= {s}",
+         ((m, k) for m in range(s + 1) for k in range(m + 1)),
+         lambda m, k: _size(enum_closed_sets(m, size_filter=k)) == zt.value(m, k)),
+        ("sums-012", "0-1-2 sum enumeration sizes equal s(n,k)",
+         ((n, k) for n in range(small + 1) for k in range(2 * n + 1)),
+         lambda n, k: _size(enum_012(n, k)) == cnt.s_count(n, k)),
+        ("weighted-paths", "priced-path enumeration sizes equal r(cost)",
+         ((c,) for c in range(small + 1)),
+         lambda c: _size(enum_weighted_paths(c)) == cnt.r_diag(c)),
+        ("chords", "symmetric chord enumeration sizes equal a(n,n)",
+         ((n,) for n in range(1, small + 1)),
+         lambda n: _size(enum_chords(n)) == cnt.r_diag(n)),
+        ("staircases", f"staircase enumeration sizes equal b(k,n) for k+n <= {s}",
+         _pairs(s), lambda k, n: _size(enum_staircases(k, n)) == bt.value(k, n)),
+        ("lacings", f"non-crossing lacing counts equal b(k,n) for k+n <= {lmax}",
+         ((k, t - k) for t in range(2, lmax + 1) for k in range(1, t)),
+         lambda k, n: _size(enum_lacings(k, n, "non_self_crossing")) == bt.value(k, n)),
     )
-    rep.add("matchings", ok, f"matching enumeration sizes equal a(k,n) for k+n <= {s}")
-    ok = all(
-        _enum_count(enum_peakless(k, n)) == cnt.m_count(k, n)
-        for k in range(min(s, 10) + 1)
-        for n in range(-k, k + 1)
-    )
-    rep.add("peakless-paths", ok, f"path enumeration sizes equal m(k,n) for k <= {min(s, 10)}")
-    ok = all(
-        _enum_count(enum_domino_pairs(k, n)) == cnt.d_count(k, n)
-        for k in range(min(s // 2 + 2, 8) + 1)
-        for n in range(min(s // 2 + 2, 8) + 1)
-    )
-    rep.add("domino-pairs", ok, "tiling-pair enumeration sizes equal d(k,n)")
-    zt = cnt.z_table(s)
-    ok = all(
-        _enum_count(enum_closed_sets(m, size_filter=k)) == zt.value(m, k)
-        for m in range(s + 1)
-        for k in range(m + 1)
-    )
-    rep.add("closed-sets", ok, f"closed-set enumeration sizes equal z(m,k) for m <= {s}")
-    ok = all(
-        _enum_count(enum_012(n, k)) == cnt.s_count(n, k)
-        for n in range(min(s // 2 + 2, 8) + 1)
-        for k in range(2 * n + 1)
-    )
-    rep.add("sums-012", ok, "0-1-2 sum enumeration sizes equal s(n,k)")
-    ok = all(
-        _enum_count(enum_weighted_paths(c)) == cnt.r_diag(c)
-        for c in range(min(s // 2 + 2, 8) + 1)
-    )
-    rep.add("weighted-paths", ok, "priced-path enumeration sizes equal r(cost)")
-    ok = all(
-        _enum_count(enum_chords(n)) == cnt.r_diag(n)
-        for n in range(1, min(s // 2 + 2, 8) + 1)
-    )
-    rep.add("chords", ok, "symmetric chord enumeration sizes equal a(n,n)")
-    ok = all(
-        _enum_count(enum_staircases(k, t - k)) == cnt.b_table(t).value(k, t - k)
-        for t in range(s + 1)
-        for k in range(t + 1)
-    )
-    rep.add("staircases", ok, f"staircase enumeration sizes equal b(k,n) for k+n <= {s}")
-    # step paths are the staircases in their step encoding
-    rep.add("step-paths", ok, f"step-path enumeration sizes equal b(k,n) for k+n <= {s}")
-    lmax = min(s, 8)
-    ok = True
-    for t in range(2, lmax + 1):
-        for k in range(1, t):
-            n = t - k
-            if _enum_count(enum_lacings(k, n, "non_self_crossing")) != cnt.b_table(t).value(k, n):
-                ok = False
-    rep.add("lacings", ok, f"non-crossing lacing counts equal b(k,n) for k+n <= {lmax}")
+    for check_id, detail, indices, holds in rows:
+        _add_identity(rep, check_id, detail, indices, holds)
+        if check_id == "staircases":  # step paths are the staircases in their step encoding
+            done = rep.checks[-1]
+            rep.add("step-paths", done.ok, done.detail.replace("staircase", "step-path"))
     return rep
 
 

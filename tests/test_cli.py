@@ -220,6 +220,19 @@ class TestVerify:
         passing = [x for x in out.splitlines() if x.startswith("PASS")]
         assert len(passing) == 9 and not any("first mismatch" in x for x in passing)
 
+    def test_failed_enumeration_check_names_its_index(self, capsys, monkeypatch):
+        m_count = cnt.m_count
+        monkeypatch.setattr(cnt, "m_count", lambda k, n: m_count(k, n) + ((k, n) == (4, 2)))
+        code, out, _ = run(capsys, "verify", "--suite", "enumeration", "--format", "text")
+        assert code == 1
+        line = next(x for x in out.splitlines() if " peakless-paths:" in x)
+        assert line == (
+            "FAIL peakless-paths: path enumeration sizes equal m(k,n) for k <= 10; "
+            "first mismatch (4, 2)"
+        )
+        passing = [x for x in out.splitlines() if x.startswith("PASS")]
+        assert len(passing) == 9 and not any("first mismatch" in x for x in passing)
+
     def test_lacing_suite_records_resolution(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lacing")
         report = json.loads(out)
@@ -322,6 +335,9 @@ def no_digit_limit():
         ("count r --n 10400", 0, lambda: cnt.a_diag_binomial(10400)),
         ("count a --k 2000 --n 2000", 0, lambda: cnt.a_binomial(2000, 2000)),
         ("count z --n 1500 --k 500", 4, None),  # z_value still recurses
+        ("verify --suite triangle --max -1", 2, None),
+        ("verify --suite all --max -1", 2, None),
+        ("enumerate weighted --cost 3 --limit -1", 2, None),
     ],
 )
 def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):

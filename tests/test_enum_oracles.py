@@ -1,0 +1,115 @@
+"""The streaming enumerators against collect-and-sort oracles.
+
+`matchings_oracle` and `chords_oracle` build every object and sort it by
+`sort_key`, the way the package enumerated matchings and symmetric chord
+configurations before it generated them in canonical order.  They are kept
+here as test-only oracles: the streaming generators must yield exactly the
+same objects in exactly the same order, and must build no more objects
+than they are asked for.
+"""
+from itertools import islice
+
+import pytest
+
+from twoline.objects import ChordConfig, Matching, enum_chords, enum_matchings
+from twoline.objects import chords as chords_mod
+from twoline.objects import matching as matching_mod
+from twoline.objects.chords import _candidates, _compatible
+
+
+def _line_configs(size):
+    """(segments, free points) for every layout of adjacent pairs on `size` points."""
+    out = []
+
+    def rec(pos, segs, free):
+        if pos > size:
+            out.append((tuple(segs), tuple(free)))
+            return
+        free.append(pos)
+        rec(pos + 1, segs, free)
+        free.pop()
+        if pos + 1 <= size:
+            segs.append((pos, pos + 1))
+            rec(pos + 2, segs, free)
+            segs.pop()
+
+    rec(1, [], [])
+    return out
+
+
+def matchings_oracle(k, n):
+    if k < 0 or n < 0 or (k + n) % 2 == 1:
+        return []
+    lower_by_free = {}
+    for segs, free in _line_configs(n):
+        lower_by_free.setdefault(len(free), []).append((segs, free))
+    found = []
+    for usegs, ufree in _line_configs(k):
+        for lsegs, lfree in lower_by_free.get(len(ufree), []):
+            pairs = [(("U", a), ("U", b)) for a, b in usegs]
+            pairs += [(("L", a), ("L", b)) for a, b in lsegs]
+            pairs += [(("U", u), ("L", l)) for u, l in zip(ufree, lfree)]
+            found.append(Matching(k, n, tuple(pairs)))
+    found.sort(key=Matching.sort_key)
+    return found
+
+
+def chords_oracle(n):
+    if n < 1:
+        return []
+    cands = _candidates(n)
+    m = len(cands)
+    compat = [[_compatible(cands[a], cands[b], n) for b in range(m)] for a in range(m)]
+    found = []
+    picked = []
+
+    def rec(allowed):
+        inner = tuple(cands[i][1] for i in picked if cands[i][0] == "inner")
+        cross = tuple(cands[i][1] for i in picked if cands[i][0] == "cross")
+        found.append(ChordConfig(n, inner, cross))
+        for idx, c in enumerate(allowed):
+            picked.append(c)
+            rec([d for d in allowed[idx + 1 :] if compat[c][d]])
+            picked.pop()
+
+    rec(list(range(m)))
+    found.sort(key=ChordConfig.sort_key)
+    return found
+
+
+@pytest.mark.parametrize("total", range(-1, 17))
+def test_matchings_equal_the_oracle(total):
+    for k in range(-1, total + 2):
+        assert list(enum_matchings(k, total - k)) == matchings_oracle(k, total - k)
+
+
+@pytest.mark.parametrize("n", range(-1, 12))
+def test_chords_equal_the_oracle(n):
+    assert list(enum_chords(n)) == chords_oracle(n)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts the objects it builds."""
+    built = []
+    cls = getattr(module, name)
+
+    def build(*args):
+        built.append(None)
+        return cls(*args)
+
+    monkeypatch.setattr(module, name, build)
+    return built
+
+
+def test_a_matching_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, matching_mod, "Matching")
+    head = list(islice(enum_matchings(12, 12), 100))
+    assert head == matchings_oracle(12, 12)[:100]
+    assert len(built) <= 100
+
+
+def test_a_chord_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, chords_mod, "ChordConfig")
+    head = list(islice(enum_chords(10), 100))
+    assert head == chords_oracle(10)[:100]
+    assert len(built) <= 100

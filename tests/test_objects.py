@@ -413,6 +413,12 @@ class TestLacings:
         with pytest.raises(InvalidInput):
             Lacing(2, 2, (("L", 1), ("R", 1), ("R", 2))).validate("right")
 
+    def test_unlaced_hole(self):
+        # L1 has an opposite-side neighbour only through the knot to R2
+        assert Lacing(2, 2, (("L", 1), ("L", 2), ("R", 1), ("R", 2))).unlaced_hole() is None
+        worse = Lacing(3, 1, (("L", 1), ("L", 2), ("L", 3), ("R", 1)))
+        assert worse.unlaced_hole() == ("L", 2)
+
 
 class TestStaircases:
     def test_eight_by_eight_example_present(self):
