@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from itertools import islice
+from itertools import chain, islice
+from typing import Iterator
 
 from . import bijections as bij
 from . import counting as cnt
@@ -121,7 +121,7 @@ def cmd_table(args) -> int:
     elif args.format == "json":
         text = json.dumps({"kind": args.kind, "rows": [list(r) for r in rows]}) + "\n"
     else:  # bfile
-        text = "".join(f"{i} {v}\n" for i, v in enumerate(v for row in rows for v in row))
+        text = _bfile(chain.from_iterable(rows))
     _write(text, args.out)
     return EXIT_OK
 
@@ -261,32 +261,60 @@ def cmd_verify(args) -> int:
 SEQUENCES = ("A079487", "A051286", "A125250", "A078698")
 
 
-def _export_terms(seq: str, terms: int) -> list[int]:
+def _bfile(values) -> str:
+    return "".join(f"{i} {v}\n" for i, v in enumerate(values))
+
+
+def _exact_decimal():
+    """A decimal context in which integer +, -, * and divmod are exact: the
+    largest precision and exponent range, with Inexact, Rounded and
+    InvalidOperation trapped, so that a lost digit raises instead of rounding."""
+    import decimal  # here, so that only the r(n) exports pay for the import
+
+    return decimal.localcontext(
+        decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+        )
+    )
+
+
+def _diagonal_terms(seq: str) -> Iterator:
+    """A051286, r(n) from n = 0, or A078698, (n-1)!^2 r(n) from n = 1, as
+    Decimals, whose text is linear in their length (an int's is quadratic).
+    Run it inside _exact_decimal()."""
+    from decimal import Decimal
+
+    r = cnt.r_diag_terms(Decimal)
     if seq == "A051286":
-        return list(islice(cnt.r_diag_terms(), terms))
-    if seq == "A078698":
-        return [
-            math.factorial(n - 1) ** 2 * r
-            for n, r in zip(range(1, terms + 1), islice(cnt.r_diag_terms(), 1, None))
-        ]
-    if seq == "A125250":  # staircase triangle by rows, rows 0..last
-        last = 0
-        while (last + 1) * (last + 2) // 2 < terms:
-            last += 1
-        return [v for row in cnt.b_table(last).rows() for v in row][:terms]
-    flat: list[int] = []  # A079487: fence triangle by rows
-    row = 0
-    while len(flat) < terms:
-        flat.extend(cnt.z_value(row, k) for k in range(row + 1))
-        row += 1
-    return flat[:terms]
+        yield from r
+        return
+    next(r)  # r(0)
+    square = Decimal(1)  # (n-1)!^2
+    for n, rn in enumerate(r, 1):
+        yield square * rn
+        square *= n * n
+
+
+def _triangle_terms(seq: str, terms: int) -> Iterator[int]:
+    """A079487, the fence triangle, or A125250, the staircase triangle, by rows."""
+    if seq == "A079487":
+        return chain.from_iterable(cnt._z_rows())
+    last = 0  # A125250 needs rows 0..last
+    while (last + 1) * (last + 2) // 2 < terms:
+        last += 1
+    return chain.from_iterable(cnt.b_table(last).rows())
 
 
 def cmd_export(args) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be positive")
-    values = _export_terms(args.sequence, args.terms)
-    text = "".join(f"{i} {v}\n" for i, v in enumerate(values))
+    if args.sequence in ("A051286", "A078698"):
+        with _exact_decimal():
+            text = _bfile(islice(_diagonal_terms(args.sequence), args.terms))
+    else:
+        text = _bfile(islice(_triangle_terms(args.sequence, args.terms), args.terms))
     _write(text, args.out)
     return EXIT_OK
 

@@ -169,27 +169,30 @@ def b_table(max_sum: int) -> TriangleTable:
     return TriangleTable("b", max_sum, t)
 
 
-def z_table(max_row: int) -> TriangleTable:
-    """Rows 0..max_row of the fence triangle z(m, k).
+def _z_rows() -> Iterator[list[int]]:
+    """Rows z(m, 0..m) for m = 0, 1, 2, ...: the fence triangle by rows.
 
     Rows 0 and 1 are (1) and (1, 1); afterwards
 
         z(2n, k)   = z(2n-1, k)   + z(2n-2, k-2)
         z(2n+1, k) = z(2n,   k-1) + z(2n-1, k).
     """
-    t: dict[tuple[int, int], int] = {(0, 0): 1}
-    if max_row >= 1:
-        t[(1, 0)] = t[(1, 1)] = 1
+    older, row = [1], [1, 1]
+    yield older
+    while True:
+        yield row
+        if len(row) % 2:  # the next row, m = len(row), is odd
+            shifted, lifted = [0] + row, older + [0, 0]
+        else:
+            shifted, lifted = row + [0], [0, 0] + older
+        older, row = row, [x + y for x, y in zip(shifted, lifted)]
 
-    def get(m, k):
-        return t.get((m, k), 0)
 
-    for m in range(2, max_row + 1):
-        for k in range(m + 1):
-            if m % 2 == 0:
-                t[(m, k)] = get(m - 1, k) + get(m - 2, k - 2)
-            else:
-                t[(m, k)] = get(m - 1, k - 1) + get(m - 2, k)
+def z_table(max_row: int) -> TriangleTable:
+    """Rows 0..max_row of the fence triangle z(m, k), from the rows of _z_rows."""
+    t: dict[tuple[int, int], int] = {}
+    for m, row in zip(range(max_row + 1), _z_rows()):
+        t.update(((m, k), v) for k, v in enumerate(row))
     return TriangleTable("z", max_row, t)
 
 
@@ -224,15 +227,17 @@ def fibonacci(m: int) -> int:
     return _FIB[m]
 
 
-def r_diag_terms() -> Iterator[int]:
+def r_diag_terms(kind=int) -> Iterator:
     """r(0), r(1), r(2), ... with r(n) = a(n, n), by the holonomic recurrence
 
         n r(n) = (2n-1) r(n-1) + (n-1) r(n-2) + (2n-3) r(n-3) - (n-2) r(n-4)
 
     with seeds r(0..3) = 1, 1, 2, 5, keeping a window of four terms.  The
-    division by n is asserted exact.
+    division by n is asserted exact.  The seeds are converted by `kind`, and
+    the terms have its type: `decimal.Decimal` in a context of unbounded
+    precision gives the same numbers, with linear-time printing.
     """
-    r4, r3, r2, r1 = 1, 1, 2, 5  # r(i-4), ..., r(i-1) for i = 4
+    r4, r3, r2, r1 = map(kind, (1, 1, 2, 5))  # r(i-4), ..., r(i-1) for i = 4
     yield from (r4, r3, r2, r1)
     i = 4
     while True:

@@ -135,8 +135,14 @@ def enum_chords(n: int) -> Iterator[ChordConfig]:
         return
     cands = _candidates(n)
     m = len(cands)
-    # row a of the compatibility matrix as a bit mask over the candidates
-    compat = [sum(1 << b for b in range(m) if _compatible(cands[a], cands[b], n)) for a in range(m)]
+    # row a of the compatibility matrix as a bit mask over the candidates; the
+    # relation is symmetric and no arc is compatible with itself
+    compat = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if _compatible(cands[a], cands[b], n):
+                compat[a] |= 1 << b
+                compat[b] |= 1 << a
     inner = sum(1 << c for c in range(m) if cands[c][0] == "inner")
     cross = ((1 << m) - 1) ^ inner
 

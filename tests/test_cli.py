@@ -1,14 +1,18 @@
+import decimal
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
+from itertools import islice
 
 import pytest
 
 from twoline import bijections as bij
 from twoline import counting as cnt
-from twoline.cli import main
+from twoline.cli import _diagonal_terms, _exact_decimal, main
 from twoline.objects import Sum012
 
 
@@ -263,6 +267,32 @@ class TestExport:
     def test_bad_terms_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "export", "A051286", "--terms", "0")
         assert code == 2
+
+
+class TestExactDecimal:
+    """The r(n) exports run the diagonal recurrence in exact Decimal arithmetic."""
+
+    def test_decimal_terms_equal_the_int_terms(self):
+        ints = list(islice(cnt.r_diag_terms(), 3001))
+        with _exact_decimal():
+            decimals = list(islice(cnt.r_diag_terms(Decimal), 3001))
+        assert all(isinstance(d, Decimal) for d in decimals)
+        assert decimals == ints
+        assert list(map(str, decimals)) == list(map(str, ints))
+
+    def test_shoelace_terms_equal_the_factorial_form(self):
+        with _exact_decimal():
+            got = list(islice(_diagonal_terms("A078698"), 300))
+        r = list(islice(cnt.r_diag_terms(), 301))
+        assert got == [math.factorial(n - 1) ** 2 * r[n] for n in range(1, 301)]
+
+    def test_the_context_is_unbounded_and_traps_inexact_and_rounded(self):
+        with _exact_decimal() as ctx:
+            assert (ctx.prec, ctx.Emax) == (decimal.MAX_PREC, decimal.MAX_EMAX)
+            with pytest.raises(decimal.Inexact):
+                Decimal("1.5").to_integral_exact()
+            with pytest.raises(decimal.Rounded):
+                Decimal("1.0").to_integral_exact()
 
 
 class TestAsymptotic:

@@ -141,6 +141,14 @@ class TestZTable:
         for (m, k), v in t.entries.items():
             assert cnt.z_value(m, k) == v
 
+    def test_rows_match_the_memoized_values(self):
+        rows = list(islice(cnt._z_rows(), 61))
+        t = cnt.z_table(60)
+        for m, row in enumerate(rows):
+            expected = [cnt.z_value(m, k) for k in range(m + 1)]
+            assert row == expected
+            assert list(t.row(m)) == expected
+
 
 class TestFibonacci:
     def test_anchors(self):

@@ -5,13 +5,23 @@
 configurations before it generated them in canonical order.  They are kept
 here as test-only oracles: the streaming generators must yield exactly the
 same objects in exactly the same order, and must build no more objects
-than they are asked for.
+than they are asked for.  `lacings_oracle` is brute force over every visit
+order, against the pruned backtracking of `enum_lacings`.
 """
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
-from twoline.objects import ChordConfig, Matching, enum_chords, enum_matchings
+from twoline.errors import InvalidInput
+from twoline.objects import (
+    MODES,
+    ChordConfig,
+    Lacing,
+    Matching,
+    enum_chords,
+    enum_lacings,
+    enum_matchings,
+)
 from twoline.objects import chords as chords_mod
 from twoline.objects import matching as matching_mod
 from twoline.objects.chords import _candidates, _compatible
@@ -77,6 +87,20 @@ def chords_oracle(n):
     return found
 
 
+def lacings_oracle(k, n, mode):
+    """Every order that starts at L1, in backtracking order, kept if valid."""
+    holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
+    found = []
+    for rest in permutations(holes[1:]):
+        lacing = Lacing(k, n, (holes[0], *rest))
+        try:
+            lacing.validate(mode)
+        except InvalidInput:
+            continue
+        found.append(lacing)
+    return found
+
+
 @pytest.mark.parametrize("total", range(-1, 17))
 def test_matchings_equal_the_oracle(total):
     for k in range(-1, total + 2):
@@ -86,6 +110,13 @@ def test_matchings_equal_the_oracle(total):
 @pytest.mark.parametrize("n", range(-1, 12))
 def test_chords_equal_the_oracle(n):
     assert list(enum_chords(n)) == chords_oracle(n)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("total", range(2, 8))
+def test_lacings_equal_the_brute_force(mode, total):
+    for k in range(1, total):
+        assert list(enum_lacings(k, total - k, mode)) == lacings_oracle(k, total - k, mode)
 
 
 def _counting(monkeypatch, module, name):
