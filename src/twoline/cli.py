@@ -9,37 +9,14 @@ for identical arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain, islice
 from typing import Iterator
 
-from . import bijections as bij
+import twoline  # its attributes import their module on first access (PEP 562)
+
 from . import counting as cnt
-from . import verify as vfy
 from .errors import EmptyPartSet, InstanceTooLarge, InvalidInput, TwolineError
-from .objects import (
-    MODES,
-    ChordConfig,
-    ClosedSet,
-    Composition,
-    Matching,
-    MotzkinPath,
-    Staircase,
-    Sum012,
-    WeightedPath,
-    enum_012,
-    enum_chords,
-    enum_closed_sets,
-    enum_compositions,
-    enum_domino_pairs,
-    enum_lacings,
-    enum_matchings,
-    enum_peakless,
-    enum_staircases,
-    enum_weighted_paths,
-)
-from .partsets import ODD, ONE_TWO, PartSet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,6 +96,8 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
     elif args.format == "json":
+        import json
+
         text = json.dumps({"kind": args.kind, "rows": [list(r) for r in rows]}) + "\n"
     else:  # bfile
         text = _bfile(chain.from_iterable(rows))
@@ -130,26 +109,32 @@ def cmd_table(args) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _compositions(a):
+def _compositions(o, a):
     part_count = tuple(a.part_count) if a.part_count else None
-    return enum_compositions(
-        PartSet.parse(a.set or "s1"), a.n, part_count=part_count, num_parts=a.summands
+    return o.enum_compositions(
+        twoline.PartSet.parse(a.set or "s1"), a.n, part_count=part_count, num_parts=a.summands
     )
 
 
-# family -> (required arguments, enumerator call, encoder)
+# objects.lacing.MODES, restated so that building the parser imports no family
+LACING_MODES = ("right", "non_self_crossing")
+
+# family -> (required arguments, enumerator call, encoder).  A call gets the
+# twoline.objects package, whose attributes import only their family's module.
 ENUMERATORS = {
-    "matchings": (("k", "n"), lambda a: enum_matchings(a.k, a.n), _encode),
-    "motzkin": (("k", "n"), lambda a: enum_peakless(a.k, a.n), _encode),
-    "dominoes": (("k", "n"), lambda a: enum_domino_pairs(a.k, a.n), _encode),
-    "closedsets": (("m",), lambda a: enum_closed_sets(a.m, size_filter=a.size), _encode),
-    "s012": (("n", "k"), lambda a: enum_012(a.n, a.k), _encode),
+    "matchings": (("k", "n"), lambda o, a: o.enum_matchings(a.k, a.n), _encode),
+    "motzkin": (("k", "n"), lambda o, a: o.enum_peakless(a.k, a.n), _encode),
+    "dominoes": (("k", "n"), lambda o, a: o.enum_domino_pairs(a.k, a.n), _encode),
+    "closedsets": (("m",), lambda o, a: o.enum_closed_sets(a.m, size_filter=a.size), _encode),
+    "s012": (("n", "k"), lambda o, a: o.enum_012(a.n, a.k), _encode),
     "compositions": (("n",), _compositions, _encode),
-    "weighted": (("cost",), lambda a: enum_weighted_paths(a.cost), _encode),
-    "chords": (("n",), lambda a: enum_chords(a.n), _encode),
-    "lacings": (("k", "n"), lambda a: enum_lacings(a.k, a.n, a.mode), _encode),
-    "staircases": (("k", "n"), lambda a: enum_staircases(a.k, a.n), _encode),
-    "steppaths": (("k", "n"), lambda a: enum_staircases(a.k, a.n), Staircase.encode_steps),
+    "weighted": (("cost",), lambda o, a: o.enum_weighted_paths(a.cost), _encode),
+    "chords": (("n",), lambda o, a: o.enum_chords(a.n), _encode),
+    "lacings": (("k", "n"), lambda o, a: o.enum_lacings(a.k, a.n, a.mode), _encode),
+    "staircases": (("k", "n"), lambda o, a: o.enum_staircases(a.k, a.n), _encode),
+    "steppaths": (
+        ("k", "n"), lambda o, a: o.enum_staircases(a.k, a.n), lambda s: s.encode_steps()
+    ),
 }
 
 
@@ -157,7 +142,8 @@ def cmd_enumerate(args) -> int:
     names, call, encode = ENUMERATORS[args.family]
     _require(args, names)
     _nonnegative(args, "limit")
-    _write("".join(encode(obj) + "\n" for obj in islice(call(args), args.limit)), args.out)
+    objects = islice(call(twoline.objects, args), args.limit)
+    _write("".join(encode(obj) + "\n" for obj in objects), args.out)
     return EXIT_OK
 
 
@@ -173,8 +159,8 @@ def _halves(text: str, what: str) -> tuple[str, str]:
     return first, second
 
 
-def _s1(text: str) -> Composition:
-    return Composition.decode(text, ONE_TWO)
+def _s1(text: str):
+    return twoline.objects.Composition.decode(text, twoline.ONE_TWO)
 
 
 def _decode_segments(text: str):
@@ -188,37 +174,58 @@ def _encode_segments(layout) -> str:
     return ";".join(",".join(f"{a}-{b}" for a, b in pairs) for pairs in layout)
 
 
+def _decoder(cls: str):
+    """The decoder of twoline.objects.<cls>, looked up when it is called."""
+    return lambda text: getattr(twoline.objects, cls).decode(text)
+
+
+def _bijection(name: str):
+    """twoline.bijections.<name>, looked up when it is called."""
+    return lambda obj: getattr(twoline.bijections, name)(obj)
+
+
 # name -> (decoder, map, encoder).  join-horizontals also needs --k and --n,
-# which cmd_map puts in front of the decoded segment layout.
+# which cmd_map puts in front of the decoded segment layout.  Entries name
+# their classes and maps, so that a map imports its modules only when it runs.
 MAPS = {
-    "closed-to-matching": (ClosedSet.decode, bij.closed_set_to_matching, _encode),
-    "matching-to-closed": (Matching.decode, bij.matching_to_closed_set, _encode),
-    "closed-to-012": (ClosedSet.decode, bij.closed_set_to_012, _encode),
-    "012-to-closed": (Sum012.decode, bij.sum012_to_closed_set, _encode),
-    "012-to-motzkin": (Sum012.decode, bij.s012_to_motzkin, _encode),
-    "motzkin-to-012": (MotzkinPath.decode, bij.motzkin_to_s012, _encode),
-    "matching-to-weighted": (Matching.decode, bij.matching_to_weighted_path, _encode),
-    "weighted-to-matching": (WeightedPath.decode, bij.weighted_path_to_matching, _encode),
-    "motzkin-to-chords": (MotzkinPath.decode, bij.motzkin_to_chords, _encode),
-    "chords-to-motzkin": (ChordConfig.decode, bij.chords_to_motzkin, _encode),
-    "split-horizontals": (Matching.decode, bij.matching_split_horizontals, _encode_segments),
+    "closed-to-matching": (_decoder("ClosedSet"), _bijection("closed_set_to_matching"), _encode),
+    "matching-to-closed": (_decoder("Matching"), _bijection("matching_to_closed_set"), _encode),
+    "closed-to-012": (_decoder("ClosedSet"), _bijection("closed_set_to_012"), _encode),
+    "012-to-closed": (_decoder("Sum012"), _bijection("sum012_to_closed_set"), _encode),
+    "012-to-motzkin": (_decoder("Sum012"), _bijection("s012_to_motzkin"), _encode),
+    "motzkin-to-012": (_decoder("MotzkinPath"), _bijection("motzkin_to_s012"), _encode),
+    "matching-to-weighted": (
+        _decoder("Matching"), _bijection("matching_to_weighted_path"), _encode
+    ),
+    "weighted-to-matching": (
+        _decoder("WeightedPath"), _bijection("weighted_path_to_matching"), _encode
+    ),
+    "motzkin-to-chords": (_decoder("MotzkinPath"), _bijection("motzkin_to_chords"), _encode),
+    "chords-to-motzkin": (_decoder("ChordConfig"), _bijection("chords_to_motzkin"), _encode),
+    "split-horizontals": (
+        _decoder("Matching"), _bijection("matching_split_horizontals"), _encode_segments
+    ),
     "join-horizontals": (
         _decode_segments,
-        lambda parts: bij.matching_from_horizontals(*parts),
+        lambda parts: twoline.bijections.matching_from_horizontals(*parts),
         _encode,
     ),
-    "s1-to-domino": (_s1, bij.composition_s1_to_domino, str),
-    "domino-to-s1": (str.strip, bij.domino_to_composition_s1, _encode),
-    "s1-to-s2": (_s1, bij.composition_s1_to_s2, _encode),
-    "s2-to-s1": (lambda t: Composition.decode(t, ODD), bij.composition_s2_to_s1, _encode),
+    "s1-to-domino": (_s1, _bijection("composition_s1_to_domino"), str),
+    "domino-to-s1": (str.strip, _bijection("domino_to_composition_s1"), _encode),
+    "s1-to-s2": (_s1, _bijection("composition_s1_to_s2"), _encode),
+    "s2-to-s1": (
+        lambda t: twoline.objects.Composition.decode(t, twoline.ODD),
+        _bijection("composition_s2_to_s1"),
+        _encode,
+    ),
     "staircase-to-compositions": (
-        Staircase.decode,
-        bij.staircase_to_composition_pair,
+        _decoder("Staircase"),
+        _bijection("staircase_to_composition_pair"),
         lambda pair: ";".join(map(_encode, pair)),
     ),
     "compositions-to-staircase": (
         lambda t: tuple(map(_s1, _halves(t, "'horizontal;vertical' compositions"))),
-        lambda pair: bij.composition_pair_to_staircase(*pair),
+        lambda pair: twoline.bijections.composition_pair_to_staircase(*pair),
         _encode,
     ),
 }
@@ -240,9 +247,18 @@ def cmd_map(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# the keys of verify.SUITES, restated so that building the parser imports no suite
+SUITES = (
+    "triangle", "enumeration", "bijections", "fibonacci", "diagonal", "asymptotics", "bounds",
+    "lacing", "all",
+)
+
+
 def cmd_verify(args) -> int:
     _nonnegative(args, "max")
-    report = vfy.run_suite(args.suite, args.max)
+    from . import verify
+
+    report = verify.run_suite(args.suite, args.max)
     if args.format == "text":
         lines = [
             f"{'PASS' if c.ok else 'FAIL'} {c.id}: {c.detail}" for c in report.checks
@@ -328,6 +344,8 @@ def cmd_asymptotic(args) -> int:
         raise UsageError("--n must be at least 1")
     est = cnt.asymptotic_estimate(args.n)
     if args.format == "json":
+        import json
+
         text = json.dumps(
             {
                 "n": est.n,
@@ -395,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep compositions with part P appearing exactly C times",
     )
     pe.add_argument("--summands", type=int, help="keep compositions with this many parts")
-    pe.add_argument("--mode", choices=MODES, default="non_self_crossing")
+    pe.add_argument("--mode", choices=LACING_MODES, default="non_self_crossing")
     pe.add_argument("--limit", type=int, metavar="N", help="stop after N objects")
     pe.set_defaults(func=cmd_enumerate)
 
@@ -409,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_map)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    pv.add_argument("--suite", choices=vfy.SUITES, default="all")
+    pv.add_argument("--suite", choices=SUITES, default="all")
     pv.add_argument("--max", type=int, help="override the suite's scale")
     pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=cmd_verify)

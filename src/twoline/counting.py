@@ -21,10 +21,9 @@ everything here can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
 
@@ -34,8 +33,7 @@ COMPOSITION_CHECK_MAX = 20
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(NamedTuple):
     """Rectangular store of triangle values.
 
     kind "a" and "b" hold entries for all k + n <= limit, keyed (k, n);
@@ -69,8 +67,7 @@ class TriangleTable:
             yield self.row(r)
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Log-domain comparison of the leading-term estimate against exact r(n)."""
 
     n: int

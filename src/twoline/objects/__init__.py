@@ -4,51 +4,33 @@ Every family provides a frozen dataclass with validate()/encode()/decode()
 and an enum_* generator that yields valid objects in the lexicographic
 order of their canonical encodings, raising InstanceTooLarge beyond the
 documented feasibility cutoffs.
-"""
-from .chords import CHORDS_MAX_POINTS, ChordConfig, enum_chords
-from .compositions import COMPOSITION_MAX_TOTAL, Composition, enum_compositions
-from .domino import DOMINO_MAX_WIDTH, DominoPair, enum_domino_pairs, tilings
-from .fence import FENCE_MAX_SIZE, ClosedSet, enum_closed_sets
-from .lacing import LACING_MAX_HOLES, MODES, Lacing, enum_lacings, segments_cross
-from .matching import MATCHING_MAX_SUM, Matching, enum_matchings
-from .motzkin import MOTZKIN_MAX_STEPS, MotzkinPath, enum_peakless
-from .staircase import STAIRCASE_MAX_SUM, Staircase, enum_b_step_paths, enum_staircases
-from .sums012 import SUM012_MAX_TERMS, Sum012, enum_012
-from .weighted import WEIGHTED_MAX_COST, WeightedPath, enum_weighted_paths
 
-__all__ = [
-    "ChordConfig",
-    "ClosedSet",
-    "Composition",
-    "DominoPair",
-    "Lacing",
-    "Matching",
-    "MotzkinPath",
-    "Staircase",
-    "Sum012",
-    "WeightedPath",
-    "enum_012",
-    "enum_b_step_paths",
-    "enum_chords",
-    "enum_closed_sets",
-    "enum_compositions",
-    "enum_domino_pairs",
-    "enum_lacings",
-    "enum_matchings",
-    "enum_peakless",
-    "enum_staircases",
-    "enum_weighted_paths",
-    "segments_cross",
-    "tilings",
-    "CHORDS_MAX_POINTS",
-    "COMPOSITION_MAX_TOTAL",
-    "DOMINO_MAX_WIDTH",
-    "FENCE_MAX_SIZE",
-    "LACING_MAX_HOLES",
-    "MATCHING_MAX_SUM",
-    "MODES",
-    "MOTZKIN_MAX_STEPS",
-    "STAIRCASE_MAX_SUM",
-    "SUM012_MAX_TERMS",
-    "WEIGHTED_MAX_COST",
-]
+Each name below is imported from its module on first access (PEP 562), so
+using one family loads only that family's module.
+"""
+_EXPORTS = {
+    "chords": ("CHORDS_MAX_POINTS", "ChordConfig", "enum_chords"),
+    "compositions": ("COMPOSITION_MAX_TOTAL", "Composition", "enum_compositions"),
+    "domino": ("DOMINO_MAX_WIDTH", "DominoPair", "enum_domino_pairs", "tilings"),
+    "fence": ("FENCE_MAX_SIZE", "ClosedSet", "enum_closed_sets"),
+    "lacing": ("LACING_MAX_HOLES", "MODES", "Lacing", "enum_lacings", "segments_cross"),
+    "matching": ("MATCHING_MAX_SUM", "Matching", "enum_matchings"),
+    "motzkin": ("MOTZKIN_MAX_STEPS", "MotzkinPath", "enum_peakless"),
+    "staircase": ("STAIRCASE_MAX_SUM", "Staircase", "enum_b_step_paths", "enum_staircases"),
+    "sums012": ("SUM012_MAX_TERMS", "Sum012", "enum_012"),
+    "weighted": ("WEIGHTED_MAX_COST", "WeightedPath", "enum_weighted_paths"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, so -X importtime shows it
+    return getattr(__import__(f"{__name__}.{_OWNER[name]}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -34,10 +34,9 @@ def _cover_intervals(arc: Arc, kind: str, n: int) -> list[tuple[int, int]]:
 
 
 def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    if a[0] in b or a[1] in b:
-        return True
-    lo, hi = min(a, b), max(a, b)
-    return lo[0] < hi[0] < lo[1] < hi[1]
+    """Whether two cover intervals (lo, hi) share an end or strictly interleave."""
+    (p, q), (r, s) = a, b
+    return p == r or p == s or q == r or q == s or p < r < q < s or r < p < s < q
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,9 @@ def _candidates(n: int) -> list[tuple[str, Arc]]:
     return cands
 
 
-def _compatible(a: tuple[str, Arc], b: tuple[str, Arc], n: int) -> bool:
-    if set(a[1]) & set(b[1]):
-        return False
-    for iv_a in _cover_intervals(a[1], a[0], n):
-        for iv_b in _cover_intervals(b[1], b[0], n):
-            if _conflict(iv_a, iv_b):
-                return False
-    return True
+def _compatible(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> bool:
+    """Whether two arcs, given by their cover intervals, can be drawn together."""
+    return not any(_conflict(iv_a, iv_b) for iv_a in a for iv_b in b)
 
 
 def enum_chords(n: int) -> Iterator[ChordConfig]:
@@ -135,12 +129,15 @@ def enum_chords(n: int) -> Iterator[ChordConfig]:
         return
     cands = _candidates(n)
     m = len(cands)
+    # each candidate's endpoints as a bit mask, and its cover intervals
+    ends = [(1 << i) | (1 << j) for _, (i, j) in cands]
+    spans = [_cover_intervals(arc, kind, n) for kind, arc in cands]
     # row a of the compatibility matrix as a bit mask over the candidates; the
     # relation is symmetric and no arc is compatible with itself
     compat = [0] * m
     for a in range(m):
         for b in range(a + 1, m):
-            if _compatible(cands[a], cands[b], n):
+            if not ends[a] & ends[b] and _compatible(spans[a], spans[b]):
                 compat[a] |= 1 << b
                 compat[b] |= 1 << a
     inner = sum(1 << c for c in range(m) if cands[c][0] == "inner")

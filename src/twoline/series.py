@@ -111,15 +111,16 @@ def inv_sqrt_trunc(p: TruncatedSeries, order: int) -> TruncatedSeries:
         r_0 = 1,   r_d = (q_d - sum_{i=1..d-1} r_i r_{d-i}) / 2,
 
     and the division by 2 must be exact.  If it is not, the input has no
-    integer inverse square root and NonIntegralCoefficient is raised.
+    integer inverse square root and NonIntegralCoefficient is raised.  The
+    sum is symmetric in i and d-i: twice its terms with i < d/2, plus the
+    middle square r_{d/2}^2 when d is even.
     """
     q = inverse_trunc(p, order)  # also validates the constant term
     r = [0] * (order + 1)
     r[0] = 1
     for d in range(1, order + 1):
-        acc = q.coeffs[d]
-        for i in range(1, d):
-            acc -= r[i] * r[d - i]
+        half = sum(r[i] * r[d - i] for i in range(1, (d + 1) // 2))
+        acc = q.coeffs[d] - 2 * half - (r[d // 2] ** 2 if d % 2 == 0 else 0)
         if acc % 2 != 0:
             raise NonIntegralCoefficient(
                 f"coefficient of x^{d} is not an even integer step"

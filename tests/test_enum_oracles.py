@@ -24,7 +24,7 @@ from twoline.objects import (
 )
 from twoline.objects import chords as chords_mod
 from twoline.objects import matching as matching_mod
-from twoline.objects.chords import _candidates, _compatible
+from twoline.objects.chords import _candidates
 
 
 def _line_configs(size):
@@ -64,12 +64,24 @@ def matchings_oracle(k, n):
     return found
 
 
+def _pair_valid(a, b, n):
+    """Whether the configuration of the two candidate arcs a and b validates."""
+    arcs = {"inner": [], "cross": []}
+    for kind, arc in (a, b):
+        arcs[kind].append(arc)
+    try:
+        ChordConfig(n, tuple(arcs["inner"]), tuple(arcs["cross"])).validate()
+    except InvalidInput:
+        return False
+    return True
+
+
 def chords_oracle(n):
     if n < 1:
         return []
     cands = _candidates(n)
     m = len(cands)
-    compat = [[_compatible(cands[a], cands[b], n) for b in range(m)] for a in range(m)]
+    compat = [[_pair_valid(cands[a], cands[b], n) for b in range(m)] for a in range(m)]
     found = []
     picked = []
 

@@ -111,6 +111,39 @@ def test_inv_sqrt_consistency(tail, order):
     assert square == ser.one(order)
 
 
+def inv_sqrt_full_sum(p, order):
+    """The coefficients of inv_sqrt_trunc from the whole sum over i = 1..d-1,
+    or None where a step is not an even integer."""
+    q = ser.inverse_trunc(p, order)
+    r = [1] + [0] * order
+    for d in range(1, order + 1):
+        acc = q.coeffs[d] - sum(r[i] * r[d - i] for i in range(1, d))
+        if acc % 2:
+            return None
+        r[d] = acc // 2
+    return tuple(r)
+
+
+@given(
+    st.lists(small_ints, min_size=0, max_size=30),
+    st.booleans(),
+    st.integers(0, 40),
+)
+@settings(max_examples=80)
+def test_inv_sqrt_half_sum_equals_the_full_sum(tail, square, order):
+    """The symmetric half sum gives the same coefficients as the whole sum, and
+    fails on the same inputs.  `square` draws p = 1/r^2, which always has an
+    inverse square root; otherwise p is arbitrary."""
+    p = ser.series([1] + tail)
+    if square:
+        p = ser.inverse_trunc(ser.mul_trunc(p, p, order), order)
+    try:
+        got = ser.inv_sqrt_trunc(p, order).coeffs
+    except NonIntegralCoefficient:
+        got = None
+    assert got == inv_sqrt_full_sum(p, order)
+
+
 @given(st.lists(small_ints, min_size=0, max_size=40), st.integers(0, 40), st.integers(0, 40))
 @settings(max_examples=60)
 def test_truncation_stability(tail, big, small):
