@@ -7,7 +7,7 @@ so a process pays only for the modules it uses.
 """
 __version__ = "0.1.0"
 
-_SUBMODULES = ("bijections", "counting", "objects", "series", "verify")
+_SUBMODULES = ("bijections", "counting", "families", "objects", "series", "verify")
 _PARTSETS = ("AT_LEAST_TWO", "ODD", "ONE_TWO", "PartSet")
 
 __all__ = [*_PARTSETS, *_SUBMODULES]

@@ -1,13 +1,12 @@
 """Constructive maps between the combinatorial realizations.
 
 Each map comes with its inverse, so composing the two is an executable
-identity check; build_report runs that check over a whole enumerated
-domain and also verifies injectivity by counting distinct images.
+identity check; families.BIJECTIONS pairs them up, and the bijections suite
+of verify runs each check over a whole enumerated domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import InvalidInput
 from .objects.compositions import Composition
@@ -171,8 +170,6 @@ def matching_to_weighted_path(m: Matching) -> WeightedPath:
         raise InvalidInput("weighted-path construction needs equal line sizes")
     top = _line_objects(m.k, m.line_pairs("U"))
     bottom = _line_objects(m.n, m.line_pairs("L"))
-    if len(top) != len(bottom):  # cannot happen for k == n
-        raise InvalidInput("object counts differ")
     steps = []
     for t, b in zip(top, bottom):
         if t and b:
@@ -370,43 +367,3 @@ def composition_pair_to_staircase(horiz: Composition, vert: Composition) -> Stai
     st = Staircase(tuple(zip(horiz.parts, vert.parts)))
     st.validate()
     return st
-
-
-# ---------------------------------------------------------------------------
-# roundtrip reporting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BijectionReport:
-    name: str
-    domain_size: int
-    image_size: int
-    roundtrip_failures: int
-    witness: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.domain_size == self.image_size and self.roundtrip_failures == 0
-
-
-def build_report(
-    name: str,
-    domain: Iterable,
-    forward: Callable,
-    inverse: Callable,
-) -> BijectionReport:
-    """Apply forward to every domain object and invert; count mismatches."""
-    domain_size = image_size = failures = 0
-    witness = None
-    images = set()
-    for obj in domain:
-        domain_size += 1
-        img = forward(obj)
-        images.add(img.encode() if hasattr(img, "encode") else repr(img))
-        back = inverse(img)
-        if back != obj:
-            failures += 1
-            if witness is None:
-                witness = obj.encode() if hasattr(obj, "encode") else repr(obj)
-    image_size = len(images)
-    return BijectionReport(name, domain_size, image_size, failures, witness)

@@ -16,6 +16,7 @@ from typing import Iterator
 import twoline  # its attributes import their module on first access (PEP 562)
 
 from . import counting as cnt
+from . import families
 from .errors import EmptyPartSet, InstanceTooLarge, InvalidInput, TwolineError
 
 EXIT_OK = 0
@@ -116,9 +117,6 @@ def _compositions(o, a):
     )
 
 
-# objects.lacing.MODES, restated so that building the parser imports no family
-LACING_MODES = ("right", "non_self_crossing")
-
 # family -> (required arguments, enumerator call, encoder).  A call gets the
 # twoline.objects package, whose attributes import only their family's module.
 ENUMERATORS = {
@@ -163,6 +161,7 @@ def _s1(text: str):
     return twoline.objects.Composition.decode(text, twoline.ONE_TWO)
 
 
+# a segment layout (k, n, upper, lower) reads 'upper;lower', k and n come from flags
 def _decode_segments(text: str):
     parse = lambda t: tuple(
         tuple(int(x) for x in tok.split("-")) for tok in t.split(",") if tok
@@ -171,63 +170,33 @@ def _decode_segments(text: str):
 
 
 def _encode_segments(layout) -> str:
-    return ";".join(",".join(f"{a}-{b}" for a, b in pairs) for pairs in layout)
+    return ";".join(",".join(f"{a}-{b}" for a, b in pairs) for pairs in layout[2:])
 
 
-def _decoder(cls: str):
-    """The decoder of twoline.objects.<cls>, looked up when it is called."""
-    return lambda text: getattr(twoline.objects, cls).decode(text)
-
-
-def _bijection(name: str):
-    """twoline.bijections.<name>, looked up when it is called."""
-    return lambda obj: getattr(twoline.bijections, name)(obj)
-
-
-# name -> (decoder, map, encoder).  join-horizontals also needs --k and --n,
-# which cmd_map puts in front of the decoded segment layout.  Entries name
-# their classes and maps, so that a map imports its modules only when it runs.
-MAPS = {
-    "closed-to-matching": (_decoder("ClosedSet"), _bijection("closed_set_to_matching"), _encode),
-    "matching-to-closed": (_decoder("Matching"), _bijection("matching_to_closed_set"), _encode),
-    "closed-to-012": (_decoder("ClosedSet"), _bijection("closed_set_to_012"), _encode),
-    "012-to-closed": (_decoder("Sum012"), _bijection("sum012_to_closed_set"), _encode),
-    "012-to-motzkin": (_decoder("Sum012"), _bijection("s012_to_motzkin"), _encode),
-    "motzkin-to-012": (_decoder("MotzkinPath"), _bijection("motzkin_to_s012"), _encode),
-    "matching-to-weighted": (
-        _decoder("Matching"), _bijection("matching_to_weighted_path"), _encode
-    ),
-    "weighted-to-matching": (
-        _decoder("WeightedPath"), _bijection("weighted_path_to_matching"), _encode
-    ),
-    "motzkin-to-chords": (_decoder("MotzkinPath"), _bijection("motzkin_to_chords"), _encode),
-    "chords-to-motzkin": (_decoder("ChordConfig"), _bijection("chords_to_motzkin"), _encode),
-    "split-horizontals": (
-        _decoder("Matching"), _bijection("matching_split_horizontals"), _encode_segments
-    ),
-    "join-horizontals": (
-        _decode_segments,
-        lambda parts: twoline.bijections.matching_from_horizontals(*parts),
-        _encode,
-    ),
-    "s1-to-domino": (_s1, _bijection("composition_s1_to_domino"), str),
-    "domino-to-s1": (str.strip, _bijection("domino_to_composition_s1"), _encode),
-    "s1-to-s2": (_s1, _bijection("composition_s1_to_s2"), _encode),
-    "s2-to-s1": (
-        lambda t: twoline.objects.Composition.decode(t, twoline.ODD),
-        _bijection("composition_s2_to_s1"),
-        _encode,
-    ),
-    "staircase-to-compositions": (
-        _decoder("Staircase"),
-        _bijection("staircase_to_composition_pair"),
+# object form (see families.BIJECTIONS) -> (decoder, encoder) of its text
+CODECS = {
+    "ClosedSet": (lambda t: twoline.objects.ClosedSet.decode(t), _encode),
+    "Matching": (lambda t: twoline.objects.Matching.decode(t), _encode),
+    "Sum012": (lambda t: twoline.objects.Sum012.decode(t), _encode),
+    "MotzkinPath": (lambda t: twoline.objects.MotzkinPath.decode(t), _encode),
+    "WeightedPath": (lambda t: twoline.objects.WeightedPath.decode(t), _encode),
+    "ChordConfig": (lambda t: twoline.objects.ChordConfig.decode(t), _encode),
+    "Staircase": (lambda t: twoline.objects.Staircase.decode(t), _encode),
+    "segments": (_decode_segments, _encode_segments),
+    "s1": (_s1, _encode),
+    "odd": (lambda t: twoline.objects.Composition.decode(t, twoline.ODD), _encode),
+    "tiling": (str.strip, str),
+    "s1-pair": (
+        lambda t: tuple(map(_s1, _halves(t, "'horizontal;vertical' compositions"))),
         lambda pair: ";".join(map(_encode, pair)),
     ),
-    "compositions-to-staircase": (
-        lambda t: tuple(map(_s1, _halves(t, "'horizontal;vertical' compositions"))),
-        lambda pair: twoline.bijections.composition_pair_to_staircase(*pair),
-        _encode,
-    ),
+}
+
+# name -> (decoder, map, encoder), every pair in both directions.  A map takes
+# the twoline.bijections module, so its modules load only when it runs.
+MAPS = {
+    name: (CODECS[domain][0], fn, CODECS[image][1])
+    for name, domain, image, fn, _ in families.maps()
 }
 
 
@@ -239,7 +208,7 @@ def cmd_map(args) -> int:
         obj = (args.k, args.n, *decode(args.object))
     else:
         obj = decode(args.object)
-    _write(encode(fn(obj)) + "\n", args.out)
+    _write(encode(fn(twoline.bijections, obj)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -247,15 +216,10 @@ def cmd_map(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# the keys of verify.SUITES, restated so that building the parser imports no suite
-SUITES = (
-    "triangle", "enumeration", "bijections", "fibonacci", "diagonal", "asymptotics", "bounds",
-    "lacing", "all",
-)
-
-
 def cmd_verify(args) -> int:
     _nonnegative(args, "max")
+    if args.max is not None and families.SUITES[args.suite] is None:
+        raise UsageError(f"suite {args.suite!r} takes no --max")
     from . import verify
 
     report = verify.run_suite(args.suite, args.max)
@@ -413,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep compositions with part P appearing exactly C times",
     )
     pe.add_argument("--summands", type=int, help="keep compositions with this many parts")
-    pe.add_argument("--mode", choices=LACING_MODES, default="non_self_crossing")
+    pe.add_argument("--mode", choices=families.LACING_MODES, default="non_self_crossing")
     pe.add_argument("--limit", type=int, metavar="N", help="stop after N objects")
     pe.set_defaults(func=cmd_enumerate)
 
@@ -427,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_map)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITES, default="all")
+    pv.add_argument("--suite", choices=tuple(families.SUITES), default="all")
     pv.add_argument("--max", type=int, help="override the suite's scale")
     pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=cmd_verify)

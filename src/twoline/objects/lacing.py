@@ -23,12 +23,17 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..families import LACING_MODES as MODES
 
 LACING_MAX_HOLES = 12
 
-MODES = ("right", "non_self_crossing")
-
 Hole = tuple[str, int]  # ("L", i) or ("R", j), 1-based from the top
+
+
+def _laced(before: Hole, h: Hole, after: Hole) -> bool:
+    """Whether h, between its lace-neighbours before and after, has one of them
+    on the opposite side."""
+    return before[0] != h[0] or after[0] != h[0]
 
 
 def _coord(h: Hole) -> tuple[int, int]:
@@ -85,9 +90,9 @@ class Lacing:
         """The first hole with no lace-neighbour on the opposite side, or None
         when every hole has one.  The knot closes the lace into a cycle, so
         the first and last holes are neighbours."""
-        sides = [h[0] for h in self.order]
-        for idx, h in enumerate(self.order):
-            if sides[idx - 1] == h[0] == sides[(idx + 1) % len(sides)]:
+        order = self.order
+        for idx, h in enumerate(order):
+            if not _laced(order[idx - 1], h, order[(idx + 1) % len(order)]):
                 return h
         return None
 
@@ -150,15 +155,6 @@ def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
     seq: list[Hole] = [("L", 1)]
     used = {("L", 1)}
 
-    def ok_middle(idx: int) -> bool:
-        """Opposite-side neighbour check for seq[idx] once its neighbours exist."""
-        if idx == 0:
-            return True  # the knot ties L1 to the final (right-side) hole
-        h = seq[idx]
-        prev_ok = seq[idx - 1][0] != h[0]
-        next_ok = idx + 1 < len(seq) and seq[idx + 1][0] != h[0]
-        return prev_ok or next_ok
-
     def crosses_new(h: Hole) -> bool:
         a = seq[-1]
         for c, d in zip(seq, seq[1:]):
@@ -178,7 +174,8 @@ def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
                 continue
             seq.append(h)
             used.add(h)
-            if ok_middle(len(seq) - 2):
+            # seq[-2] has both neighbours now; the knot laces L1 to the last hole
+            if len(seq) == 2 or _laced(*seq[-3:]):
                 yield from rec()
             seq.pop()
             used.remove(h)

@@ -24,14 +24,6 @@ class MotzkinPath:
     def endpoint(self) -> tuple[int, int]:
         return len(self.steps), sum(_DELTA[c] for c in self.steps)
 
-    def heights(self) -> list[int]:
-        """Running heights after each step."""
-        out, h = [], 0
-        for c in self.steps:
-            h += _DELTA[c]
-            out.append(h)
-        return out
-
     def sort_key(self):
         return self.steps
 

@@ -299,27 +299,3 @@ class TestStaircaseMaps:
             bij.composition_pair_to_staircase(
                 Composition((1, 1), ONE_TWO), Composition((2,), ONE_TWO)
             )
-
-
-class TestBuildReport:
-    def test_passing_report(self):
-        rep = bij.build_report(
-            "closed-to-012",
-            enum_closed_sets(8),
-            bij.closed_set_to_012,
-            bij.sum012_to_closed_set,
-        )
-        assert rep.passed
-        assert rep.domain_size == rep.image_size == 55
-        assert rep.roundtrip_failures == 0 and rep.witness is None
-
-    def test_failing_report_finds_witness(self):
-        rep = bij.build_report(
-            "broken",
-            enum_012(2, 2),
-            lambda s: s,
-            lambda s: Sum012((9,)),
-        )
-        assert not rep.passed
-        assert rep.roundtrip_failures == rep.domain_size
-        assert rep.witness is not None

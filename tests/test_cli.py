@@ -163,6 +163,11 @@ class TestMap:
             capsys, "map", "join-horizontals", "2-3;2-3", "--k", "3", "--n", "3"
         )
         assert out == m + "\n"
+        # upper and lower layouts that differ, so a swapped pair shows
+        lopsided = "U1-U2,U3-L1,L2-L3"
+        assert run(capsys, "map", "split-horizontals", lopsided)[1] == "1-2;2-3\n"
+        _, out, _ = run(capsys, "map", "join-horizontals", "1-2;2-3", "--k", "3", "--n", "3")
+        assert out == lopsided + "\n"
 
     def test_invalid_object_is_exit_2(self, capsys):
         code, _, err = run(capsys, "map", "closed-to-012", "0102")
@@ -244,6 +249,12 @@ class TestVerify:
         byid = {c["id"]: c for c in report["checks"]}
         assert byid["defective-formula-resolution"]["status"] == "pass"
         assert "(k-1)!(n-1)!" in byid["defective-formula-resolution"]["detail"]
+
+    @pytest.mark.parametrize("suite", ["lacing", "asymptotics"])
+    def test_max_on_a_suite_without_a_scale_is_a_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max", "5")
+        assert code == 2 and out == ""
+        assert err == f"twoline: suite {suite!r} takes no --max\n"
 
 
 class TestExport:

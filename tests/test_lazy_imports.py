@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import twoline
-from twoline import cli, objects, verify
+from twoline import cli, families, objects, verify
 from twoline.objects import lacing
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -120,6 +120,20 @@ def test_every_map_has_a_sample():
 def test_every_map_resolves(name, capsys):
     assert cli.main(["map", name, *MAP_SAMPLES[name]]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def map_text(capsys, name, text):
+    """stdout of `map name text`; join-horizontals takes --k and --n from its sample."""
+    assert cli.main(["map", name, text, *MAP_SAMPLES[name][1:]]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pair", families.BIJECTIONS, ids=lambda pair: pair[0])
+@pytest.mark.parametrize("there, back", [(0, 1), (1, 0)], ids=["forward", "inverse"])
+def test_every_pair_inverts_through_the_text_codecs(pair, there, back, capsys):
+    text = MAP_SAMPLES[pair[there]][0]
+    image = map_text(capsys, pair[there], text)
+    assert map_text(capsys, pair[back], image.rstrip("\n")) == text + "\n"
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import time
 
 import pytest
 
+from twoline import bijections as bij
 from twoline import verify as vfy
+from twoline.objects import Sum012, enum_012, enum_closed_sets
 
 
 def test_all_suite_passes_quickly():
@@ -52,3 +54,19 @@ def test_overall_is_conjunction():
     assert rep.overall
     rep.add("bad", False, "broken")
     assert not rep.overall
+
+
+class TestRoundtrip:
+    def test_passing_report(self):
+        size, images, failures, witness = vfy.roundtrip(
+            enum_closed_sets(8), bij.closed_set_to_012, bij.sum012_to_closed_set
+        )
+        assert size == images == 55
+        assert failures == 0 and witness is None
+
+    def test_failing_report_finds_witness(self):
+        size, images, failures, witness = vfy.roundtrip(
+            enum_012(2, 2), lambda s: s, lambda s: Sum012((9,))
+        )
+        assert failures == size > 0
+        assert witness == "0+2"
