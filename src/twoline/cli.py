@@ -93,7 +93,7 @@ TABLES = {
 
 def cmd_table(args) -> int:
     _nonnegative(args, "max")
-    rows = list(TABLES[args.kind](args.max).rows())
+    rows = TABLES[args.kind](args.max).rows
     if args.format == "csv":
         text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
     elif args.format == "json":
@@ -163,10 +163,9 @@ def _s1(text: str):
 
 # a segment layout (k, n, upper, lower) reads 'upper;lower', k and n come from flags
 def _decode_segments(text: str):
-    parse = lambda t: tuple(
-        tuple(int(x) for x in tok.split("-")) for tok in t.split(",") if tok
-    )
-    return tuple(map(parse, _halves(text, "'upper;lower' segment lists")))
+    from .objects.chords import decode_pairs
+
+    return tuple(map(decode_pairs, _halves(text, "'upper;lower' segment lists")))
 
 
 def _encode_segments(layout) -> str:
@@ -284,7 +283,7 @@ def _triangle_terms(seq: str, terms: int) -> Iterator[int]:
     last = 0  # A125250 needs rows 0..last
     while (last + 1) * (last + 2) // 2 < terms:
         last += 1
-    return chain.from_iterable(cnt.b_table(last).rows())
+    return chain.from_iterable(cnt.b_table(last).rows)
 
 
 def cmd_export(args) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
 
@@ -34,37 +34,28 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
 class TriangleTable(NamedTuple):
-    """Rectangular store of triangle values.
+    """A triangle as its display rows.
 
-    kind "a" and "b" hold entries for all k + n <= limit, keyed (k, n);
-    kind "z" holds rows 0..limit of the fence triangle, keyed (m, k) with
-    0 <= k <= m.  Missing keys read as zero.
+    kind "a": row r is a(2r,0)..a(0,2r), the entries with k + n = 2r;
+    kind "b": row r is b(0,r)..b(r,0), the entries with k + n = r;
+    kind "z": row m is the fence row z(m,0)..z(m,m).
     """
 
     kind: str
-    limit: int
-    entries: Mapping[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
 
     def value(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+        """a(i, j), b(i, j) or z(i, j): zero at odd a-sums and outside the rows."""
+        if i < 0 or j < 0 or (self.kind == "a" and (i + j) % 2):
+            return 0
+        r, pos = {"a": ((i + j) // 2, j), "b": (i + j, i), "z": (i, j)}[self.kind]
+        try:
+            return self.rows[r][pos]
+        except IndexError:  # past the last row, or z(m, k) with k > m
+            return 0
 
     def row(self, r: int) -> tuple[int, ...]:
-        """One display row.
-
-        kind "a": entries with k + n = 2r, left to right a(2r,0)..a(0,2r);
-        kind "b": entries with k + n = r, left to right b(0,r)..b(r,0);
-        kind "z": fence row r, z(r,0)..z(r,r).
-        """
-        if self.kind == "a":
-            return tuple(self.value(2 * r - i, i) for i in range(2 * r + 1))
-        if self.kind == "b":
-            return tuple(self.value(i, r - i) for i in range(r + 1))
-        return tuple(self.value(r, k) for k in range(r + 1))
-
-    def rows(self) -> Iterator[tuple[int, ...]]:
-        top = self.limit // 2 if self.kind == "a" else self.limit
-        for r in range(top + 1):
-            yield self.row(r)
+        return self.rows[r]
 
 
 class AsymptoticEstimate(NamedTuple):
@@ -76,25 +67,24 @@ class AsymptoticEstimate(NamedTuple):
     relative_error: float
 
 
-def a_table(max_sum: int) -> TriangleTable:
-    """Triangle of a(k, n) for k + n <= max_sum via the four-term recurrence.
+def _a_rows() -> Iterator[list[int]]:
+    """Display rows a(2r, 0)..a(0, 2r) for r = 0, 1, 2, ...: the four-term recurrence
 
-    a(k, n) = a(k-1, n-1) + a(k-2, n) + a(k, n-2) - a(k-2, n-2) for all
-    (k, n) != (0, 0), with a = 0 at negative indices and a(0,0) = 1.
-    Odd k + n never becomes nonzero.
+        a(k, n) = a(k-1, n-1) + a(k-2, n) + a(k, n-2) - a(k-2, n-2)
+
+    for all (k, n) != (0, 0), with a = 0 at negative indices and a(0,0) = 1.
+    Odd k + n is always zero, so row r reads only rows r-1 and r-2.
     """
-    t: dict[tuple[int, int], int] = {(0, 0): 1}
+    older, row = [], [1]  # rows -1 and 0
+    while True:
+        yield row
+        p, o = [0, 0] + row + [0, 0], [0, 0] + older + [0, 0]
+        older, row = row, [a + b + c - d for a, b, c, d in zip(p, p[1:], p[2:], o)]
 
-    def get(k, n):
-        return t.get((k, n), 0)
 
-    for s in range(1, max_sum + 1):
-        for k in range(s + 1):
-            n = s - k
-            t[(k, n)] = (
-                get(k - 1, n - 1) + get(k - 2, n) + get(k, n - 2) - get(k - 2, n - 2)
-            )
-    return TriangleTable("a", max_sum, t)
+def a_table(max_sum: int) -> TriangleTable:
+    """Triangle of a(k, n) for k + n <= max_sum: rows 0..max_sum // 2 of _a_rows."""
+    return TriangleTable("a", tuple(map(tuple, islice(_a_rows(), max(0, max_sum // 2 + 1)))))
 
 
 def a_long(k: int, n: int) -> int:
@@ -159,11 +149,11 @@ def _b_rows(width: int) -> Iterator[list[int]]:
 
 
 def b_table(max_sum: int) -> TriangleTable:
-    """Triangle of b(k, n) for k + n <= max_sum, from the rows of _b_rows."""
-    t: dict[tuple[int, int], int] = {}
-    for k, row in zip(range(max_sum + 1), _b_rows(max_sum)):
-        t.update(((k, n), v) for n, v in enumerate(row[: max_sum - k + 1]))
-    return TriangleTable("b", max_sum, t)
+    """Triangle of b(k, n) for k + n <= max_sum: the rows of _b_rows, by antidiagonals."""
+    by_k = list(islice(_b_rows(max_sum), max(0, max_sum + 1)))
+    return TriangleTable(
+        "b", tuple(tuple(by_k[k][r - k] for k in range(r + 1)) for r in range(max_sum + 1))
+    )
 
 
 def _z_rows() -> Iterator[list[int]]:
@@ -186,11 +176,8 @@ def _z_rows() -> Iterator[list[int]]:
 
 
 def z_table(max_row: int) -> TriangleTable:
-    """Rows 0..max_row of the fence triangle z(m, k), from the rows of _z_rows."""
-    t: dict[tuple[int, int], int] = {}
-    for m, row in zip(range(max_row + 1), _z_rows()):
-        t.update(((m, k), v) for k, v in enumerate(row))
-    return TriangleTable("z", max_row, t)
+    """Rows 0..max_row of the fence triangle z(m, k), from _z_rows."""
+    return TriangleTable("z", tuple(map(tuple, islice(_z_rows(), max(0, max_row + 1)))))
 
 
 def b_value(k: int, n: int) -> int:

@@ -1,9 +1,10 @@
 """Explicit combinatorial objects and their exhaustive enumerators.
 
 Every family provides a frozen dataclass with validate()/encode()/decode()
-and an enum_* generator that yields valid objects in the lexicographic
-order of their canonical encodings, raising InstanceTooLarge beyond the
-documented feasibility cutoffs.
+and an enum_* generator that yields valid objects in the order of the
+type's sort_key, raising InstanceTooLarge beyond the documented
+feasibility cutoffs.  For matchings and chord configurations that is not
+the string order of the encodings.
 
 Each name below is imported from its module on first access (PEP 562), so
 using one family loads only that family's module.

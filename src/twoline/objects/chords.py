@@ -94,12 +94,21 @@ class ChordConfig:
         try:
             npart, ipart, cpart = text.strip().split(":")
             n = int(npart)
-            parse = lambda part: tuple(
-                tuple(int(x) for x in tok.split("-")) for tok in part.split(",") if tok
-            )
-            return cls(n, parse(ipart), parse(cpart))
-        except (ValueError, TypeError):
+        except ValueError:
             raise InvalidInput(f"bad chord configuration {text!r}") from None
+        return cls(n, decode_pairs(ipart), decode_pairs(cpart))
+
+
+def decode_pairs(text: str) -> tuple[Arc, ...]:
+    """The pair list 'i-j,k-l,...' of chords and segments; empty tokens are skipped."""
+    pairs = []
+    for tok in filter(None, text.split(",")):
+        try:
+            i, j = map(int, tok.split("-"))
+        except ValueError:
+            raise InvalidInput(f"bad pair {tok!r}: expected two integers 'i-j'") from None
+        pairs.append((i, j))
+    return tuple(pairs)
 
 
 def _candidates(n: int) -> list[tuple[str, Arc]]:

@@ -87,17 +87,16 @@ def _size(gen) -> int:
     return sum(1 for _ in gen)
 
 
-def _gf_table(max_sum: int):
-    denom = ser.series2(
-        {(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}, max_sum, max_sum
-    )
+def _series_inverse(denominator: dict, max_sum: int):
+    """Coefficients of 1 / D(x, y) up to x^max_sum y^max_sum, D given by its terms."""
+    denom = ser.series2(denominator, max_sum, max_sum)
     return ser.bivariate_inverse_coeffs(denom, max_sum, max_sum)
 
 
 def suite_triangle(max_sum: int = 16) -> VerificationReport:
     rep = VerificationReport("triangle")
     table = cnt.a_table(max_sum)
-    gf = _gf_table(max_sum)
+    gf = _series_inverse({(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}, max_sum)
 
     _add_identity(
         rep,
@@ -175,15 +174,7 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
     )
 
     bt = cnt.b_table(max_sum)
-    bgf = ser.bivariate_inverse_coeffs(
-        ser.series2(
-            {(0, 0): 1, (1, 1): -1, (2, 1): -1, (1, 2): -1, (2, 2): -1},
-            max_sum,
-            max_sum,
-        ),
-        max_sum,
-        max_sum,
-    )
+    bgf = _series_inverse({(0, 0): 1, (1, 1): -1, (2, 1): -1, (1, 2): -1, (2, 2): -1}, max_sum)
     _add_identity(
         rep,
         "b-series-agreement",

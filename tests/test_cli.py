@@ -178,6 +178,23 @@ class TestMap:
         code, _, _ = run(capsys, "map", "closed-to-matching", "000")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (("join-horizontals", "1-2-3;", "--k", "3", "--n", "0"), "1-2-3"),
+            (("chords-to-motzkin", "3:1-2-3:"), "1-2-3"),
+            (("join-horizontals", "1;", "--k", "1", "--n", "0"), "1"),
+            (("chords-to-motzkin", "3:1:"), "1"),
+            (("join-horizontals", "a-b;", "--k", "2", "--n", "0"), "a-b"),
+        ],
+    )
+    def test_malformed_pair_is_refused_in_one_line(self, capsys, argv, token):
+        code, out, err = run(capsys, "map", *argv)
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert repr(token) in lines[0]
+        assert "unpack" not in err and "invalid literal" not in err
+
 
 class TestVerify:
     def test_triangle_suite_passes(self, capsys):

@@ -46,6 +46,11 @@ Z_ROWS = [
 ]
 
 
+def pairs(max_sum):
+    """(k, n) for k + n <= max_sum, odd sums included."""
+    return [(k, s - k) for s in range(max_sum + 1) for k in range(s + 1)]
+
+
 class TestATable:
     def test_displayed_rows(self):
         t = cnt.a_table(8)
@@ -60,7 +65,8 @@ class TestATable:
 
     def test_symmetry_and_parity(self):
         t = cnt.a_table(14)
-        for (k, n), v in t.entries.items():
+        for k, n in pairs(14):
+            v = t.value(k, n)
             assert v == t.value(n, k)
             if (k + n) % 2 == 1:
                 assert v == 0
@@ -86,8 +92,8 @@ class TestALong:
 
     def test_agrees_with_table(self):
         t = cnt.a_table(16)
-        for (k, n), v in t.entries.items():
-            assert cnt.a_long(k, n) == v
+        for k, n in pairs(16):
+            assert cnt.a_long(k, n) == t.value(k, n)
 
 
 class TestABinomial:
@@ -121,8 +127,8 @@ class TestBTable:
 
     def test_single_values_match(self):
         t = cnt.b_table(12)
-        for (k, n), v in t.entries.items():
-            assert cnt.b_value(k, n) == v
+        for k, n in pairs(12):
+            assert cnt.b_value(k, n) == t.value(k, n)
 
 
 class TestZTable:
@@ -138,8 +144,9 @@ class TestZTable:
 
     def test_single_values_match(self):
         t = cnt.z_table(14)
-        for (m, k), v in t.entries.items():
-            assert cnt.z_value(m, k) == v
+        for m in range(15):
+            for k in range(m + 1):
+                assert cnt.z_value(m, k) == t.value(m, k)
 
     def test_rows_match_the_memoized_values(self):
         rows = list(islice(cnt._z_rows(), 61))
@@ -148,6 +155,29 @@ class TestZTable:
             expected = [cnt.z_value(m, k) for k in range(m + 1)]
             assert row == expected
             assert list(t.row(m)) == expected
+
+
+class TestTableValueOutsideTheTriangle:
+    @pytest.mark.parametrize("build", [cnt.a_table, cnt.b_table, cnt.z_table])
+    def test_zero_at_negative_indices_and_past_the_last_row(self, build):
+        t = build(10)
+        assert t.value(0, 0) == 1
+        for i, j in [(-1, 0), (0, -1), (-2, 2), (2, -2), (-1, -1), (-3, 5), (-3, 9)]:
+            assert t.value(i, j) == 0
+        for i, j in [(12, 0), (0, 12), (11, 1), (40, 40)]:
+            assert t.value(i, j) == 0
+
+    def test_zero_at_odd_a_sums(self):
+        t = cnt.a_table(10)
+        for k, n in pairs(11):
+            if (k + n) % 2:
+                assert t.value(k, n) == 0
+
+    def test_zero_past_the_end_of_a_fence_row(self):
+        t = cnt.z_table(10)
+        for m in range(11):
+            assert t.value(m, m) == 1
+            assert t.value(m, m + 1) == t.value(m, m + 2) == 0
 
 
 class TestFibonacci:
@@ -375,6 +405,21 @@ def s_oracle(n, k, after2=False):
     )
 
 
+def a_table_oracle(max_sum):
+    """a(k, n) for k + n <= max_sum, keyed (k, n): the dict-backed four-term
+    recurrence that _a_rows replaced."""
+    t = {(0, 0): 1}
+
+    def get(k, n):
+        return t.get((k, n), 0)
+
+    for s in range(1, max_sum + 1):
+        for k in range(s + 1):
+            n = s - k
+            t[(k, n)] = get(k - 1, n - 1) + get(k - 2, n) + get(k, n - 2) - get(k - 2, n - 2)
+    return t
+
+
 # 0 <= k, n <= 30, plus a few negative indices; odd k + n included
 INDEX = st.integers(min_value=-3, max_value=30)
 
@@ -402,7 +447,12 @@ class TestKernelsMatchOracles:
 
     def test_b_table_rows_are_b_values(self):
         t = cnt.b_table(30)
-        assert t.entries == {(k, s - k): b_oracle(k, s - k) for s in range(31) for k in range(s + 1)}
+        got = {(k, n): t.value(k, n) for k, n in pairs(30)}
+        assert got == {(k, n): b_oracle(k, n) for k, n in pairs(30)}
+
+    def test_a_table_matches_the_dict_recurrence(self):
+        t = cnt.a_table(60)
+        assert {(k, n): t.value(k, n) for k, n in pairs(60)} == a_table_oracle(60)
 
     def test_diagonal_binomial_ratio_matches_comb(self):
         for n in range(-2, 200):
