@@ -2,16 +2,19 @@
 
 Subcommands: count, table, enumerate, map, verify, export, asymptotic.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error,
-4 instance too large (an enumeration cutoff, or recursion or memory
-exhausted).  All output is UTF-8 text, newline terminated, byte-deterministic
-for identical arguments.
+4 instance too large (an enumeration cutoff, an output over MAX_OUTPUT_BYTES,
+or recursion or memory exhausted).  All output is UTF-8 text, newline
+terminated, byte-deterministic for identical arguments, and written by
+_write in batches as it is computed.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from itertools import chain, islice
-from typing import Iterator
+from contextlib import nullcontext
+from itertools import chain, count, islice
+from typing import Iterable, Iterator
 
 import twoline  # its attributes import their module on first access (PEP 562)
 
@@ -25,17 +28,66 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOO_LARGE = 4
 
+BATCH_BYTES = 1 << 16  # _write's block: a pipe's default capacity on Linux
+MAX_OUTPUT_BYTES = 512 << 20  # 512 MiB: `table` and `export` refuse larger outputs
+
 
 class UsageError(TwolineError):
     pass
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of the pieces in whole blocks of BATCH_BYTES characters (bytes:
+    the output is ASCII), then the rest, which may be empty.  Whole blocks
+    reach a reader on a pipe as whole reads."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= BATCH_BYTES:
+            text, cut = "".join(batch), size - size % BATCH_BYTES
+            yield text[:cut]
+            batch, size = [text[cut:]], size - cut
+    yield "".join(batch)
+
+
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """The one writer: text pieces to stdout or to the file `out`, one batch at a
+    time.  The first batch is computed before `out` is opened, so a request
+    refused before its first line creates no file."""
+    batches = _batches(pieces)
+    first = next(batches)
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        for batch in chain((first,), batches):
+            fh.write(batch)
+
+
+def _fib_digits(m: int) -> int:
+    """Decimal digits of phi^m, a bound on those of F(m) and of the counts below it."""
+    return int(m * math.log10(cnt.GOLDEN_RATIO)) + 1
+
+
+def _factorial_digits(n: int) -> int:
+    """Decimal digits of n! = Gamma(n + 1)."""
+    return int(math.lgamma(n + 1) / math.log(10)) + 1
+
+
+def _refuse_oversized(rows: Iterable[tuple[int, int]]) -> None:
+    """Raise InstanceTooLarge (exit 4) before any work when the output would
+    pass MAX_OUTPUT_BYTES.
+
+    `rows` yields (entries, digits) for each row of the output: that many
+    entries of at most that many digits.  Each entry is charged its digits
+    and two characters of separators; the sum stops once it passes the cap.
+    """
+    size = 0
+    for entries, digits in rows:
+        size += entries * (digits + 2)
+        if size > MAX_OUTPUT_BYTES:
+            raise InstanceTooLarge(
+                f"output would pass the {MAX_OUTPUT_BYTES >> 20} MiB cap "
+                "(estimated from the Fibonacci bounds on its entries)"
+            )
 
 
 def _encode(obj) -> str:
@@ -75,7 +127,7 @@ COUNTERS = {
 def cmd_count(args) -> int:
     names, counter = COUNTERS[args.family]
     _require(args, names)
-    _write(f"{counter(args)}\n", args.out)
+    _write((f"{counter(args)}\n",), args.out)
     return EXIT_OK
 
 
@@ -83,23 +135,35 @@ def cmd_count(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-# kind -> triangle up to row --max
+# kind -> (display rows 0..--max, (entries, digit bound) of row r).  The bounds
+# are a(k, n) <= F(k + n), b(k, n) <= F(k + n) and z(m, k) <= F(m + 2).
 TABLES = {
-    "a": lambda m: cnt.a_table(2 * m),
-    "b": lambda m: cnt.b_table(m),
-    "z": lambda m: cnt.z_table(m),
+    "a": (lambda m: islice(cnt._a_rows(), m + 1), lambda r: (2 * r + 1, _fib_digits(2 * r))),
+    "b": (lambda m: cnt.b_table(m).rows, lambda r: (r + 1, _fib_digits(r))),
+    "z": (lambda m: islice(cnt._z_rows(), m + 1), lambda r: (r + 1, _fib_digits(r + 2))),
 }
+
+
+def _json_rows(kind: str, rows) -> Iterator[str]:
+    """json.dumps({"kind": kind, "rows": rows}) + newline, one row at a time."""
+    import json
+
+    head, tail = json.dumps({"kind": kind, "rows": []}).split("[]")
+    yield head + "["
+    for i, row in enumerate(rows):
+        yield (", " if i else "") + json.dumps(row)
+    yield "]" + tail + "\n"
 
 
 def cmd_table(args) -> int:
     _nonnegative(args, "max")
-    rows = TABLES[args.kind](args.max).rows
+    rows_of, row_size = TABLES[args.kind]
+    _refuse_oversized(map(row_size, range(args.max + 1)))
+    rows = rows_of(args.max)
     if args.format == "csv":
-        text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+        text = (",".join(map(str, row)) + "\n" for row in rows)
     elif args.format == "json":
-        import json
-
-        text = json.dumps({"kind": args.kind, "rows": [list(r) for r in rows]}) + "\n"
+        text = _json_rows(args.kind, rows)
     else:  # bfile
         text = _bfile(chain.from_iterable(rows))
     _write(text, args.out)
@@ -141,7 +205,7 @@ def cmd_enumerate(args) -> int:
     _require(args, names)
     _nonnegative(args, "limit")
     objects = islice(call(twoline.objects, args), args.limit)
-    _write("".join(encode(obj) + "\n" for obj in objects), args.out)
+    _write((encode(obj) + "\n" for obj in objects), args.out)
     return EXIT_OK
 
 
@@ -207,7 +271,7 @@ def cmd_map(args) -> int:
         obj = (args.k, args.n, *decode(args.object))
     else:
         obj = decode(args.object)
-    _write(encode(fn(twoline.bijections, obj)) + "\n", args.out)
+    _write((encode(fn(twoline.bijections, obj)) + "\n",), args.out)
     return EXIT_OK
 
 
@@ -224,12 +288,12 @@ def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.max)
     if args.format == "text":
         lines = [
-            f"{'PASS' if c.ok else 'FAIL'} {c.id}: {c.detail}" for c in report.checks
+            f"{'PASS' if c.ok else 'FAIL'} {c.id}: {c.detail}\n" for c in report.checks
         ]
-        lines.append(f"overall: {'pass' if report.overall else 'fail'}")
-        _write("\n".join(lines) + "\n", args.out)
+        lines.append(f"overall: {'pass' if report.overall else 'fail'}\n")
+        _write(lines, args.out)
     else:
-        _write(report.to_json() + "\n", args.out)
+        _write((report.to_json() + "\n",), args.out)
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
 
@@ -237,11 +301,28 @@ def cmd_verify(args) -> int:
 # export
 # ---------------------------------------------------------------------------
 
-SEQUENCES = ("A079487", "A051286", "A125250", "A078698")
+# sequence -> (entries, digit bound) of its row r: the triangles are read by
+# rows, and the r(n) sequences hold one term per row, with r(n) <= F(2n).
+SEQUENCES = {
+    "A079487": TABLES["z"][1],
+    "A051286": lambda n: (1, _fib_digits(2 * n)),
+    "A125250": TABLES["b"][1],
+    "A078698": lambda n: (1, _fib_digits(2 * n + 2) + 2 * _factorial_digits(n)),  # n!^2 r(n+1)
+}
 
 
-def _bfile(values) -> str:
-    return "".join(f"{i} {v}\n" for i, v in enumerate(values))
+def _bfile(values) -> Iterator[str]:
+    return (f"{i} {v}\n" for i, v in enumerate(values))
+
+
+def _first_terms(row_size, terms: int) -> Iterator[tuple[int, int]]:
+    """(entries, digit bound) of the rows that hold the first `terms` terms."""
+    for r in count():
+        entries, digits = row_size(r)
+        yield min(entries, terms), digits
+        terms -= entries
+        if terms <= 0:
+            return
 
 
 def _exact_decimal():
@@ -289,12 +370,13 @@ def _triangle_terms(seq: str, terms: int) -> Iterator[int]:
 def cmd_export(args) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be positive")
+    _refuse_oversized(_first_terms(SEQUENCES[args.sequence], args.terms))
     if args.sequence in ("A051286", "A078698"):
+        # drained inside the context: outside it the Decimals round to 28 digits
         with _exact_decimal():
-            text = _bfile(islice(_diagonal_terms(args.sequence), args.terms))
+            _write(_bfile(islice(_diagonal_terms(args.sequence), args.terms)), args.out)
     else:
-        text = _bfile(islice(_triangle_terms(args.sequence, args.terms), args.terms))
-    _write(text, args.out)
+        _write(_bfile(islice(_triangle_terms(args.sequence, args.terms), args.terms)), args.out)
     return EXIT_OK
 
 
@@ -322,7 +404,7 @@ def cmd_asymptotic(args) -> int:
             f"n={est.n} estimate_log={est.estimate_log:.12f} "
             f"exact_log={est.exact_log:.12f} relative_error={est.relative_error:.3e}"
         )
-    _write(text + "\n", args.out)
+    _write((text + "\n",), args.out)
     return EXIT_OK
 
 

@@ -149,8 +149,10 @@ def _b_rows(width: int) -> Iterator[list[int]]:
 
 
 def b_table(max_sum: int) -> TriangleTable:
-    """Triangle of b(k, n) for k + n <= max_sum: the rows of _b_rows, by antidiagonals."""
-    by_k = list(islice(_b_rows(max_sum), max(0, max_sum + 1)))
+    """Triangle of b(k, n) for k + n <= max_sum: the rows of _b_rows, by antidiagonals.
+    Row k is cut to b(k, 0..max_sum-k) as it arrives."""
+    rows = islice(_b_rows(max_sum), max(0, max_sum + 1))
+    by_k = [row[: max_sum + 1 - k] for k, row in enumerate(rows)]
     return TriangleTable(
         "b", tuple(tuple(by_k[k][r - k] for k in range(r + 1)) for r in range(max_sum + 1))
     )

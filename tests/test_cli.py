@@ -11,6 +11,7 @@ from itertools import islice
 import pytest
 
 from twoline import bijections as bij
+from twoline import cli
 from twoline import counting as cnt
 from twoline.cli import _diagonal_terms, _exact_decimal, main
 from twoline.objects import Sum012
@@ -410,3 +411,126 @@ def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     else:
         assert proc.stdout == f"{value()}\n"
+
+
+class TestStreaming:
+    """Every subcommand writes through cli._write, one batch at a time."""
+
+    @pytest.mark.parametrize("kind", ["a", "b", "z"])
+    @pytest.mark.parametrize("max_row", [0, 1, 7, 60])
+    def test_json_table_equals_json_dumps_of_the_whole(self, capsys, kind, max_row):
+        table = {"a": lambda m: cnt.a_table(2 * m), "b": cnt.b_table, "z": cnt.z_table}[kind]
+        whole = {"kind": kind, "rows": [list(r) for r in table(max_row).rows]}
+        code, out, _ = run(capsys, "table", kind, "--max", str(max_row), "--format", "json")
+        assert code == 0 and out == json.dumps(whole) + "\n"
+
+    def test_batches_are_whole_blocks_and_lose_nothing(self):
+        pieces = [f"{i:06d}\n" for i in range(30000)] + ["x" * (3 * cli.BATCH_BYTES)] + ["y\n"]
+        batches = list(cli._batches(pieces))
+        assert "".join(batches) == "".join(pieces)
+        assert [len(b) for b in batches[:-1]] == [cli.BATCH_BYTES] * 3 + [3 * cli.BATCH_BYTES]
+        assert len(batches[-1]) == len("".join(pieces)) % cli.BATCH_BYTES
+        assert list(cli._batches([])) == [""]
+
+    def test_out_file_equals_stdout_across_many_batches(self, capsys, tmp_path):
+        argv = ["export", "A051286", "--terms", "1500"]
+        _, out, _ = run(capsys, *argv)
+        assert len(out) > 4 * cli.BATCH_BYTES
+        path = tmp_path / "r.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == out
+
+    def test_empty_output_still_creates_the_out_file(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        code, _, _ = run(capsys, "enumerate", "matchings", "--k", "2", "--n", "2", "--limit", "0",
+                         "--out", str(path))
+        assert code == 0 and path.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize(
+        "argv", ["enumerate matchings --k 13 --n 13", "table a --max 2000", "export A051286 --terms 100000"]
+    )
+    def test_refused_before_the_first_line_writes_nothing(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        path = tmp_path / "F"
+        code, out, err = run(capsys, *argv.split(), "--out", str(path))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, low, high",
+    [
+        ("table a --max 150 --format csv", 1, 1.5),
+        ("table a --max 150 --format bfile", 1, 1.5),
+        ("table z --max 400 --format json", 1, 1.5),
+        ("export A051286 --terms 3000", 0.95, 1.5),
+        ("export A078698 --terms 400", 0.95, 1.5),
+        ("export A079487 --terms 60000", 1, 1.5),
+        # most b entries lie far below F(k + n), so b's estimate runs high
+        ("table b --max 400 --format csv", 2, 4),
+        ("export A125250 --terms 60000", 2, 4),
+    ],
+)
+def test_the_size_guard_estimates_the_output(capsys, monkeypatch, argv, low, high):
+    """The estimate lies between `low` and `high` times the real size: the
+    guard passes a cap of `high` times it and refuses one of `low` times it."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    monkeypatch.setattr(cli, "MAX_OUTPUT_BYTES", int(high * len(out)))
+    assert run(capsys, *argv.split())[0] == 0
+    monkeypatch.setattr(cli, "MAX_OUTPUT_BYTES", int(low * len(out)))
+    assert run(capsys, *argv.split())[:2] == (4, "")
+
+
+def test_fib_digits_bounds_the_digits_of_fibonacci():
+    assert all(len(str(cnt.fibonacci(m))) <= cli._fib_digits(m) for m in range(3000))
+
+
+# run cli.main on the arguments, then print the process's own peak RSS in KiB
+PEAK_PROBE = """
+import sys
+from twoline import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "argv, limit_mb",
+    [
+        ("table a --max 600 --format bfile", 40),
+        ("table z --max 1500 --format csv", 60),
+        ("export A051286 --terms 20000", 40),
+    ],
+)
+def test_own_peak_memory_of_large_writers(argv, limit_mb):
+    """VmHWM, read by the child itself: a waited child's ru_maxrss would also
+    count the memory of the process that started it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, *argv.split()],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) / 1024 <= limit_mb
+
+
+def test_the_probe_over_the_cap_is_refused_under_a_memory_limit():
+    """`table a --max 2000` under a 512 MiB address-space limit exits 4 in one line."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoline.cli", "table", "a", "--max", "2000"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "512 MiB" in proc.stderr

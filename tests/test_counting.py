@@ -246,6 +246,15 @@ class TestFibBound:
             for k in range(s + 1):
                 assert cnt.fib_bound_check(k, s - k)
 
+    def test_growth_bounds_of_the_cli_size_guard(self):
+        """a(k, n) and b(k, n) <= F(k + n), z(m, k) <= F(m + 2) and r(n) <= F(2n)."""
+        fib = cnt.fibonacci
+        assert all(max(row) <= fib(2 * r) for r, row in enumerate(cnt.a_table(300).rows) if r)
+        assert all(max(row) <= fib(s) for s, row in enumerate(cnt.b_table(300).rows) if s)
+        assert all(max(row) <= fib(m + 2) for m, row in enumerate(cnt.z_table(300).rows))
+        r = islice(cnt.r_diag_terms(), 1, 301)
+        assert all(rn <= fib(2 * n) for n, rn in enumerate(r, 1))
+
 
 class TestSignedStepPaths:
     def test_anchors(self):
