@@ -139,7 +139,7 @@ def cmd_count(args) -> int:
 # are a(k, n) <= F(k + n), b(k, n) <= F(k + n) and z(m, k) <= F(m + 2).
 TABLES = {
     "a": (lambda m: islice(cnt._a_rows(), m + 1), lambda r: (2 * r + 1, _fib_digits(2 * r))),
-    "b": (lambda m: cnt.b_table(m).rows, lambda r: (r + 1, _fib_digits(r))),
+    "b": (lambda m: islice(cnt._b_diagonals(), m + 1), lambda r: (r + 1, _fib_digits(r))),
     "z": (lambda m: islice(cnt._z_rows(), m + 1), lambda r: (r + 1, _fib_digits(r + 2))),
 }
 
@@ -357,14 +357,9 @@ def _diagonal_terms(seq: str) -> Iterator:
         square *= n * n
 
 
-def _triangle_terms(seq: str, terms: int) -> Iterator[int]:
+def _triangle_terms(seq: str) -> Iterator[int]:
     """A079487, the fence triangle, or A125250, the staircase triangle, by rows."""
-    if seq == "A079487":
-        return chain.from_iterable(cnt._z_rows())
-    last = 0  # A125250 needs rows 0..last
-    while (last + 1) * (last + 2) // 2 < terms:
-        last += 1
-    return chain.from_iterable(cnt.b_table(last).rows)
+    return chain.from_iterable(cnt._z_rows() if seq == "A079487" else cnt._b_diagonals())
 
 
 def cmd_export(args) -> int:
@@ -376,7 +371,7 @@ def cmd_export(args) -> int:
         with _exact_decimal():
             _write(_bfile(islice(_diagonal_terms(args.sequence), args.terms)), args.out)
     else:
-        _write(_bfile(islice(_triangle_terms(args.sequence, args.terms), args.terms)), args.out)
+        _write(_bfile(islice(_triangle_terms(args.sequence), args.terms)), args.out)
     return EXIT_OK
 
 

@@ -13,16 +13,20 @@ Naming used throughout (mirrors the canonical text encodings and the CLI):
   s(n, k)   n-term 0-1-2 sums equal to k with no 2 immediately before a 0
   r(n)      the diagonal a(n, n)
 
-All values are exact Python ints.  Tables are immutable once built, and the
-single-value counters are bottom-up loops over rolling rows: no recursion,
-and nothing they build outlives the call (z_value alone keeps a memo).  So
-everything here can be shared freely across threads.
+All values are exact Python ints.  Each recurrence is written once, as a
+generator of rows (_a_rows, _a_long_rows, _b_diagonals, _z_rows, _m_rows,
+_s_rows, _tiling_rows) that keeps only the rows the next one reads and never
+changes a row it has yielded.  A table is the first rows of one, and a
+single-value counter reads one entry of one: no recursion, and nothing
+outlives the call (z_value alone keeps a memo).  The binomial sums, signed
+paths and brute-force checks are independent routes, kept apart on purpose.
+Tables are immutable, so everything here can be shared freely across threads.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice, zip_longest
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
@@ -54,9 +58,6 @@ class TriangleTable(NamedTuple):
         except IndexError:  # past the last row, or z(m, k) with k > m
             return 0
 
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.rows[r]
-
 
 class AsymptoticEstimate(NamedTuple):
     """Log-domain comparison of the leading-term estimate against exact r(n)."""
@@ -87,26 +88,31 @@ def a_table(max_sum: int) -> TriangleTable:
     return TriangleTable("a", tuple(map(tuple, islice(_a_rows(), max(0, max_sum // 2 + 1)))))
 
 
-def a_long(k: int, n: int) -> int:
-    """a(k, n) through the one-sided recurrence
+def _a_long_rows(width: int) -> Iterator[list[int]]:
+    """Rows a(i, 0..width) for i = 0, 1, 2, ...: the one-sided recurrence
 
         a(k, n) = a(k-2, n) + a(k-1, n-1) + a(k-1, n-3) + a(k-1, n-5) + ...
 
-    Rows i = 0..k of a(i, 0..n) are built from rows i-1 and i-2; the tail
-    a(i-1, j-1) + a(i-1, j-3) + ... is a running sum over the entries of
-    row i's parity class, so the cost is O(k n) additions.
+    Row i is built from rows i-1 and i-2; the tail a(i-1, j-1) + a(i-1, j-3)
+    + ... is a running sum over the entries of row i's parity class, so each
+    row costs O(width) additions.
     """
-    if k < 0 or n < 0 or (k + n) % 2 == 1:
-        return 0
-    older, row = [0] * (n + 1), [1 - j % 2 for j in range(n + 1)]  # rows -1 and 0
-    for i in range(1, k + 1):
-        tail = 0
-        for j in range(i % 2, n + 1, 2):  # a(i, j) = 0 when i + j is odd
+    older, row = [0] * (width + 1), [1 - j % 2 for j in range(width + 1)]  # rows -1 and 0
+    for i in count(1):
+        yield row
+        new, tail = older[:], 0
+        for j in range(i % 2, width + 1, 2):  # a(i, j) = 0 when i + j is odd
             if j:
                 tail += row[j - 1]
-            older[j] += tail
-        older, row = row, older
-    return row[n]
+            new[j] += tail
+        older, row = row, new
+
+
+def a_long(k: int, n: int) -> int:
+    """a(k, n): entry n of row k of _a_long_rows, at O(k n) additions."""
+    if k < 0 or n < 0 or (k + n) % 2 == 1:
+        return 0
+    return next(islice(_a_long_rows(n), k, None))[n]
 
 
 def a_binomial(k: int, n: int) -> int:
@@ -133,29 +139,37 @@ def a_diag_binomial(n: int) -> int:
     return total
 
 
-def _b_rows(width: int) -> Iterator[list[int]]:
-    """Rows b(k, 0..width) for k = 0, 1, 2, ...: the one b recurrence.
+def _b_diagonals(k: float = math.inf, n: float = math.inf) -> Iterator[list[int]]:
+    """Antidiagonals b(0, s)..b(s, 0) for s = 0, 1, 2, ...: the one b recurrence
 
-    b(k, n) = b(k-1, n-1) + b(k-1, n-2) + b(k-2, n-1) + b(k-2, n-2) holds
-    everywhere except (0, 0); the degenerate convention b(0,0) = 1 and
-    b(k, n) = 0 when min(k, n) <= 0 elsewhere falls out of the recurrence.
+        b(i, j) = b(i-1, j-1) + b(i-1, j-2) + b(i-2, j-1) + b(i-2, j-2),
+
+    which holds everywhere except (0, 0) and reads antidiagonals s-2..s-4.
+    Each step adds 1 or 2 to both indices, so b(i, j) = 0 unless j <= 2i and
+    i <= 2j: past the seeds s <= 3, only the entries s/3 <= i <= 2s/3 are
+    computed.  Given k and n, so are only those with i <= k and j <= n, all
+    that b(k, n) reads; the others read 0, and the last antidiagonal is k + n.
     """
-    older, row = [0] * (width + 1), [1] + [0] * width
-    while True:
+    d4, d3, d2, d1 = [1], [0, 0], [0, 1, 0], [0, 1, 1, 0]  # s = 0..3
+    yield from (d4, d3, d2, d1)
+    s = 3
+    while s < k + n:
+        s += 1
+        lo, hi = max(-(-s // 3), s - n), min(2 * s // 3, k)
+        row = [0] * lo + [
+            a + b + c + d
+            for a, b, c, d in zip_longest(
+                d2[lo - 1 : hi], d3[lo - 1 : hi], d3[lo - 2 : hi - 1], d4[lo - 2 : hi - 1], fillvalue=0
+            )
+        ]
+        row += [0] * (min(s, k) + 1 - len(row))
         yield row
-        # s[j + 2] = b(k, j) + b(k-1, j), so b(k+1, j) = s[j + 1] + s[j]
-        s = [0, 0] + [x + y for x, y in zip(row, older)]
-        older, row = row, [x + y for x, y in zip(s[: width + 1], s[1:])]
+        d4, d3, d2, d1 = d3, d2, d1, row
 
 
 def b_table(max_sum: int) -> TriangleTable:
-    """Triangle of b(k, n) for k + n <= max_sum: the rows of _b_rows, by antidiagonals.
-    Row k is cut to b(k, 0..max_sum-k) as it arrives."""
-    rows = islice(_b_rows(max_sum), max(0, max_sum + 1))
-    by_k = [row[: max_sum + 1 - k] for k, row in enumerate(rows)]
-    return TriangleTable(
-        "b", tuple(tuple(by_k[k][r - k] for k in range(r + 1)) for r in range(max_sum + 1))
-    )
+    """Triangle of b(k, n) for k + n <= max_sum: antidiagonals 0..max_sum of _b_diagonals."""
+    return TriangleTable("b", tuple(map(tuple, islice(_b_diagonals(), max(0, max_sum + 1)))))
 
 
 def _z_rows() -> Iterator[list[int]]:
@@ -183,10 +197,10 @@ def z_table(max_row: int) -> TriangleTable:
 
 
 def b_value(k: int, n: int) -> int:
-    """Single b(k, n): entry n of row k of _b_rows."""
-    if k < 0 or n < 0:
+    """Single b(k, n): entry k of antidiagonal k + n of _b_diagonals(k, n)."""
+    if k < 0 or n < 0 or k > 2 * n or n > 2 * k:  # outside the support of b
         return 0
-    return next(islice(_b_rows(n), k, None))[n]
+    return next(islice(_b_diagonals(k, n), k + n, None))[k]
 
 
 @lru_cache(maxsize=None)
@@ -201,16 +215,14 @@ def z_value(m: int, k: int) -> int:
     return z_value(m - 1, k - 1) + z_value(m - 2, k)
 
 
-_FIB = [0, 1]
-
-
 def fibonacci(m: int) -> int:
     """F(m) with F(0) = 0, F(1) = F(2) = 1."""
     if m < 0:
         raise ValueError("negative Fibonacci index")
-    while len(_FIB) <= m:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[m]
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
 
 
 def r_diag_terms(kind=int) -> Iterator:
@@ -273,49 +285,63 @@ def fib_bound_check(k: int, n: int) -> bool:
     return a_long(k, n) <= fibonacci(k + n)
 
 
-def m_count(k: int, n: int) -> int:
-    """Peakless Motzkin paths with k steps ending at height n.
+def _m_rows() -> Iterator[list[int]]:
+    """Rows m(i, -i..i) for i = 0, 1, 2, ...: the last-step recurrence
 
-    Uses the last-step recurrence
-    m(k, n) = m(k-1, n-1) + m(k-1, n) + m(k-1, n+1) - m(k-2, n)
-    on two rolling rows; the row after i steps covers the heights -i..i.
+        m(k, n) = m(k-1, n-1) + m(k-1, n) + m(k-1, n+1) - m(k-2, n).
+
+    The body is _a_rows' under the index change m(k, n) = a(k-n, k+n).  It
+    stays separate on purpose: read from _a_rows, m would be the a table, and
+    peakless-index-identity would compare the a table with itself.
     """
-    if abs(n) > k:
-        return 0
     older, row = [], [1]  # steps -1 and 0
-    for _ in range(k):
+    while True:
+        yield row
         p, o = [0, 0] + row + [0, 0], [0, 0] + older + [0, 0]
         older, row = row, [a + b + c - d for a, b, c, d in zip(p, p[1:], p[2:], o)]
-    return row[k + n]
+
+
+def m_count(k: int, n: int) -> int:
+    """Peakless Motzkin paths with k steps ending at height n: row k of _m_rows."""
+    if abs(n) > k:
+        return 0
+    return next(islice(_m_rows(), k, None))[k + n]
+
+
+def _s_rows(width: int) -> Iterator[list[int]]:
+    """Rows s(n, 0..width) for n = 0, 1, 2, ...: n-term 0-1-2 sums by total."""
+    # sums so far by total 0..width: the last summand was not 2, and was 2
+    free, after2 = [1] + [0] * width, [0] * (width + 1)
+    while True:
+        row = [f + a for f, a in zip(free, after2)]
+        yield row
+        ends = [0] + row  # ends[t] = all sums at t - 1
+        free, after2 = [f + e for f, e in zip(free, ends)], [0] + ends[:width]
 
 
 def s_count(n: int, k: int) -> int:
     """0-1-2 sums: n ordered summands totalling k, never 0 right after 2."""
     if n < 0 or k < 0 or k > 2 * n:
         return 0
-    # sums so far by total 0..k: the last summand was not 2, and was 2
-    free, after2 = [1] + [0] * k, [0] * (k + 1)
-    for _ in range(n):
-        ends = [0] + [f + a for f, a in zip(free, after2)]  # ends[t] = all sums at t - 1
-        free, after2 = [f + e for f, e in zip(free, ends)], [0] + ends[:k]
-    return free[k] + after2[k]
+    return next(islice(_s_rows(k), n, None))[k]
+
+
+def _tiling_rows() -> Iterator[list[int]]:
+    """Rows t(w, 0..w) for w = 0, 1, 2, ...: 2 x w domino tilings by their
+    number of verticals (a leftmost vertical, or two stacked horizontals)."""
+    older, row = [], [1]  # widths -1 and 0
+    while True:
+        yield row
+        older, row = row, [v + h for v, h in zip([0] + row, older + [0, 0])]
 
 
 def d_count(k: int, n: int) -> int:
-    """Pairs of 2xk and 2xn domino tilings with equal numbers of verticals.
-
-    One pass over the widths 0..max(k, n) counts 2 x width tilings by their
-    number of verticals (a leftmost vertical, or two stacked horizontals),
-    keeping the two previous widths and the counts at width min(k, n).
-    """
+    """Pairs of 2xk and 2xn domino tilings with equal numbers of verticals:
+    the dot product of rows k and n of _tiling_rows."""
     if k < 0 or n < 0:
         return 0
-    lo, hi = min(k, n), max(k, n)
-    older, row = [], [1]  # widths -1 and 0
-    narrow = row
-    for w in range(1, hi + 1):
-        older, row = row, [v + h for v, h in zip([0] + row, older + [0, 0])]
-        if w == lo:
+    for w, row in enumerate(islice(_tiling_rows(), max(k, n) + 1)):
+        if w == min(k, n):
             narrow = row
     return sum(a * b for a, b in zip(narrow, row))
 

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice, permutations
+from operator import mul
 
 from . import bijections as bij
 from . import counting as cnt
@@ -94,101 +95,48 @@ def _series_inverse(denominator: dict, max_sum: int):
 
 
 def suite_triangle(max_sum: int = 16) -> VerificationReport:
+    """Five routes to a(k, n), and b against its series.  Each route's rows are
+    built once and read cell by cell; a_binomial alone is evaluated per cell."""
     rep = VerificationReport("triangle")
-    table = cnt.a_table(max_sum)
+    half, signed_max = max_sum // 2, min(max_sum, 20)
+    table, zt, bt = cnt.a_table(max_sum), cnt.z_table(max_sum), cnt.b_table(max_sum)
     gf = _series_inverse({(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}, max_sum)
-
-    _add_identity(
-        rep,
-        "four-way-agreement",
-        f"recurrence table, long recurrence, binomial sum and series extraction "
-        f"agree for k+n <= {max_sum}",
-        _pairs(max_sum),
-        lambda k, n: table.value(k, n)
-        == cnt.a_long(k, n)
-        == cnt.a_binomial(k, n)
-        == gf.coeff(k, n),
-    )
-
-    signed_max = min(max_sum, 20)
-    _add_identity(
-        rep,
-        "signed-path-agreement",
-        f"signed lattice-path enumeration agrees for k+n <= {signed_max}",
-        _pairs(signed_max),
-        lambda k, n: cnt.signed_step_path_count(k, n) == table.value(k, n),
-    )
-
-    _add_identity(
-        rep,
-        "symmetry-and-parity",
-        "a(k,n) = a(n,k); odd k+n entries vanish",
-        _pairs(max_sum),
-        lambda k, n: table.value(k, n) == table.value(n, k)
-        and (table.value(k, n) == 0 or (k + n) % 2 == 0),
-    )
-
-    def rises_to_centre(r):
-        half = table.row(r)[: r + 1]
-        return list(half) == sorted(half)
-
-    _add_identity(
-        rep,
-        "row-unimodality",
-        "rows weakly increase toward their centre",
-        ((r,) for r in range(max_sum // 2 + 1)),
-        rises_to_centre,
-    )
-
-    mmax = max_sum // 2
-    _add_identity(
-        rep,
-        "peakless-index-identity",
-        f"m(k,n) = a(k-n,k+n) for k <= {mmax}",
-        ((k, n) for k in range(mmax + 1) for n in range(-k, k + 1)),
-        lambda k, n: cnt.m_count(k, n) == cnt.a_long(k - n, k + n),
-    )
-
-    zt = cnt.z_table(max_sum)
-    fence = [(n, k) for n in range(max_sum // 2 + 1) for k in range(2 * n + 1)]
-    _add_identity(
-        rep,
-        "fence-index-identity",
-        f"z(2n,k) = a(2n-k,k) for 2n <= {max_sum}",
-        fence,
-        lambda n, k: zt.value(2 * n, k) == cnt.a_long(2 * n - k, k),
-    )
-    _add_identity(
-        rep,
-        "sum012-identity",
-        f"s(n,k) = z(2n,k) for 2n <= {max_sum}",
-        fence,
-        lambda n, k: cnt.s_count(n, k) == zt.value(2 * n, k),
-    )
-    _add_identity(
-        rep,
-        "domino-identity",
-        f"d(k,n) = a(k,n) for k+n <= {max_sum}",
-        _pairs(max_sum),
-        lambda k, n: cnt.d_count(k, n) == table.value(k, n),
-    )
-
-    bt = cnt.b_table(max_sum)
     bgf = _series_inverse({(0, 0): 1, (1, 1): -1, (2, 1): -1, (1, 2): -1, (2, 2): -1}, max_sum)
-    _add_identity(
-        rep,
-        "b-series-agreement",
-        f"b recurrence matches series extraction for k+n <= {max_sum}",
-        _pairs(max_sum),
-        lambda k, n: bt.value(k, n) == bgf.coeff(k, n),
+    along = list(islice(cnt._a_long_rows(max_sum), max_sum + 1))  # along[k][n] = a(k, n)
+    peakless = list(islice(cnt._m_rows(), half + 1))  # peakless[k][k + n] = m(k, n)
+    sums = list(islice(cnt._s_rows(max_sum), half + 1))  # sums[n][k] = s(n, k)
+    tilings = list(islice(cnt._tiling_rows(), max_sum + 1))  # d(k, n) = tilings[k] . tilings[n]
+    diagonal = list(islice(cnt.r_diag_terms(), half + 1))  # r(n)
+    a = table.value
+    fence = [(n, k) for n in range(half + 1) for k in range(2 * n + 1)]
+    # check id, detail, indices, the identity at those indices
+    rows = (
+        ("four-way-agreement", "recurrence table, long recurrence, binomial sum and series "
+         f"extraction agree for k+n <= {max_sum}", _pairs(max_sum),
+         lambda k, n: a(k, n) == along[k][n] == cnt.a_binomial(k, n) == gf.coeff(k, n)),
+        ("signed-path-agreement", f"signed lattice-path enumeration agrees for k+n <= {signed_max}",
+         _pairs(signed_max), lambda k, n: cnt.signed_step_path_count(k, n) == a(k, n)),
+        ("symmetry-and-parity", "a(k,n) = a(n,k); odd k+n entries vanish", _pairs(max_sum),
+         lambda k, n: a(k, n) == a(n, k) and (a(k, n) == 0 or (k + n) % 2 == 0)),
+        ("row-unimodality", "rows weakly increase toward their centre",
+         ((r,) for r in range(half + 1)),
+         lambda r: list(table.rows[r][: r + 1]) == sorted(table.rows[r][: r + 1])),
+        ("peakless-index-identity", f"m(k,n) = a(k-n,k+n) for k <= {half}",
+         ((k, n) for k in range(half + 1) for n in range(-k, k + 1)),
+         lambda k, n: peakless[k][k + n] == along[k - n][k + n]),
+        ("fence-index-identity", f"z(2n,k) = a(2n-k,k) for 2n <= {max_sum}", fence,
+         lambda n, k: zt.value(2 * n, k) == along[2 * n - k][k]),
+        ("sum012-identity", f"s(n,k) = z(2n,k) for 2n <= {max_sum}", fence,
+         lambda n, k: sums[n][k] == zt.value(2 * n, k)),
+        ("domino-identity", f"d(k,n) = a(k,n) for k+n <= {max_sum}", _pairs(max_sum),
+         lambda k, n: sum(map(mul, tilings[k], tilings[n])) == a(k, n)),
+        ("b-series-agreement", f"b recurrence matches series extraction for k+n <= {max_sum}",
+         _pairs(max_sum), lambda k, n: bt.value(k, n) == bgf.coeff(k, n)),
+        ("diagonal-b-identity", "b(n,n) = a(n,n) = r(n)", ((n,) for n in range(half + 1)),
+         lambda n: bt.value(n, n) == a(n, n) == diagonal[n]),
     )
-    _add_identity(
-        rep,
-        "diagonal-b-identity",
-        "b(n,n) = a(n,n) = r(n)",
-        ((n,) for n in range(max_sum // 2 + 1)),
-        lambda n: bt.value(n, n) == table.value(n, n) == cnt.r_diag(n),
-    )
+    for check_id, detail, indices, holds in rows:
+        _add_identity(rep, check_id, detail, indices, holds)
     return rep
 
 
@@ -200,7 +148,7 @@ def suite_fibonacci(max_m: int = 30) -> VerificationReport:
         "a-row-sums",
         f"row m of the matching triangle sums to F(2m) for m <= {max_m}",
         ((m,) for m in range(1, max_m + 1)),
-        lambda m: sum(table.row(m - 1)) == cnt.fibonacci(2 * m),
+        lambda m: sum(table.rows[m - 1]) == cnt.fibonacci(2 * m),
     )
     zt = cnt.z_table(max_m)
     _add_identity(
@@ -208,7 +156,7 @@ def suite_fibonacci(max_m: int = 30) -> VerificationReport:
         "z-row-sums",
         f"fence row m sums to F(m+2) for m <= {max_m}",
         ((m,) for m in range(max_m + 1)),
-        lambda m: sum(zt.row(m)) == cnt.fibonacci(m + 2),
+        lambda m: sum(zt.rows[m]) == cnt.fibonacci(m + 2),
     )
     return rep
 
@@ -274,6 +222,7 @@ def suite_asymptotics() -> VerificationReport:
 def suite_bounds(max_sum: int = 60) -> VerificationReport:
     rep = VerificationReport("bounds")
     table = cnt.a_table(max(max_sum, 80))
+    fib = [cnt.fibonacci(s) for s in range(max_sum + 1)]
     _add_identity(
         rep,
         "fibonacci-bound",
@@ -282,7 +231,7 @@ def suite_bounds(max_sum: int = 60) -> VerificationReport:
         # a(0,0) = 1 is its own base case, as in cnt.fib_bound_check
         lambda k, n: table.value(k, n) == 1
         if k + n == 0
-        else table.value(k, n) <= cnt.fibonacci(k + n),
+        else table.value(k, n) <= fib[k + n],
     )
     a4040_t = table.value(40, 40)
     a4040_b = cnt.a_binomial(40, 40)

@@ -41,7 +41,7 @@ def test_criterion_1_triangle_fidelity():
         t0 = time.perf_counter()
         table = cnt.a_table(8)
         best = min(best, time.perf_counter() - t0)
-    ok = [table.row(r) for r in range(5)] == TRIANGLE_ROWS
+    ok = [table.rows[r] for r in range(5)] == TRIANGLE_ROWS
     report(1, "triangle-fidelity", ok, best, budget=0.001)
 
 
@@ -74,7 +74,7 @@ def test_criterion_3_reference_point_values():
         and cnt.m_count(3, 1) == 4
         and cnt.s_count(3, 3) == 5
         and cnt.r_diag(3) == 5
-        and zt.row(4) == (1, 2, 2, 2, 1)
+        and zt.rows[4] == (1, 2, 2, 2, 1)
         and zt.value(8, 3) == 10
         and bt.value(4, 4) == 11
         and bt.value(3, 4) == 5
@@ -96,9 +96,9 @@ def test_criterion_4_forty_points_and_fibonacci_bounds():
 def test_criterion_5_fibonacci_structure():
     start = time.perf_counter()
     at = cnt.a_table(58)
-    ok = all(sum(at.row(m - 1)) == cnt.fibonacci(2 * m) for m in range(1, 31))
+    ok = all(sum(at.rows[m - 1]) == cnt.fibonacci(2 * m) for m in range(1, 31))
     zt = cnt.z_table(30)
-    ok = ok and all(sum(zt.row(m)) == cnt.fibonacci(m + 2) for m in range(31))
+    ok = ok and all(sum(zt.rows[m]) == cnt.fibonacci(m + 2) for m in range(31))
     report(5, "fibonacci-structure", ok, time.perf_counter() - start)
 
 

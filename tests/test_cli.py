@@ -238,8 +238,13 @@ class TestVerify:
         assert passing and not any("first failure" in x for x in passing)
 
     def test_failed_counting_check_names_its_index(self, capsys, monkeypatch):
-        d_count = cnt.d_count
-        monkeypatch.setattr(cnt, "d_count", lambda k, n: d_count(k, n) + ((k, n) == (3, 5)))
+        tiling_rows = cnt._tiling_rows
+
+        def one_tiling_too_many():  # of width 5 with 3 verticals: d(3, 5) is off by one first
+            for w, row in enumerate(tiling_rows()):
+                yield [t + ((w, v) == (5, 3)) for v, t in enumerate(row)]
+
+        monkeypatch.setattr(cnt, "_tiling_rows", one_tiling_too_many)
         code, out, _ = run(capsys, "verify", "--suite", "triangle", "--format", "text")
         assert code == 1
         line = next(x for x in out.splitlines() if " domino-identity:" in x)
@@ -506,6 +511,8 @@ sys.exit(code)
         ("table a --max 600 --format bfile", 40),
         ("table z --max 1500 --format csv", 60),
         ("export A051286 --terms 20000", 40),
+        ("table b --max 1500", 25),
+        ("export A125250 --terms 1100000", 25),
     ],
 )
 def test_own_peak_memory_of_large_writers(argv, limit_mb):

@@ -54,7 +54,7 @@ def pairs(max_sum):
 class TestATable:
     def test_displayed_rows(self):
         t = cnt.a_table(8)
-        assert [t.row(r) for r in range(5)] == TRIANGLE_ROWS
+        assert [t.rows[r] for r in range(5)] == TRIANGLE_ROWS
 
     def test_anchors(self):
         t = cnt.a_table(8)
@@ -74,7 +74,7 @@ class TestATable:
     def test_unimodal_rows(self):
         t = cnt.a_table(20)
         for r in range(11):
-            row = t.row(r)
+            row = t.rows[r]
             half = row[: len(row) // 2 + 1]
             assert list(half) == sorted(half)
 
@@ -117,7 +117,7 @@ class TestABinomial:
 class TestBTable:
     def test_displayed_rows(self):
         t = cnt.b_table(8)
-        assert [t.row(r) for r in range(9)] == B_ROWS
+        assert [t.rows[r] for r in range(9)] == B_ROWS
 
     def test_recurrence_example(self):
         t = cnt.b_table(8)
@@ -134,11 +134,11 @@ class TestBTable:
 class TestZTable:
     def test_displayed_rows(self):
         t = cnt.z_table(8)
-        assert [t.row(r) for r in range(9)] == Z_ROWS
+        assert [t.rows[r] for r in range(9)] == Z_ROWS
 
     def test_anchors(self):
         t = cnt.z_table(8)
-        assert t.row(4) == (1, 2, 2, 2, 1)
+        assert t.rows[4] == (1, 2, 2, 2, 1)
         assert t.value(8, 3) == 10 == t.value(7, 3) + t.value(6, 1)
         assert t.value(3, 1) == 2
 
@@ -154,7 +154,7 @@ class TestZTable:
         for m, row in enumerate(rows):
             expected = [cnt.z_value(m, k) for k in range(m + 1)]
             assert row == expected
-            assert list(t.row(m)) == expected
+            assert list(t.rows[m]) == expected
 
 
 class TestTableValueOutsideTheTriangle:
@@ -331,12 +331,12 @@ class TestRowSums:
     def test_a_rows_are_even_fibonacci(self):
         t = cnt.a_table(24)
         for m in range(1, 13):
-            assert sum(t.row(m - 1)) == cnt.fibonacci(2 * m)
+            assert sum(t.rows[m - 1]) == cnt.fibonacci(2 * m)
 
     def test_z_rows_are_fibonacci(self):
         t = cnt.z_table(30)
         for m in range(31):
-            assert sum(t.row(m)) == cnt.fibonacci(m + 2)
+            assert sum(t.rows[m]) == cnt.fibonacci(m + 2)
 
     def test_b_diagonal_is_a_diagonal(self):
         bt = cnt.b_table(24)
@@ -414,6 +414,17 @@ def s_oracle(n, k, after2=False):
     )
 
 
+def b_rows_by_k(width):
+    """Rows b(k, 0..width) for k = 0, 1, 2, ...: the by-k form of the b
+    recurrence that _b_diagonals replaced, through the pair sums
+    b(k, j) + b(k-1, j)."""
+    older, row = [0] * (width + 1), [1] + [0] * width
+    while True:
+        yield row
+        s = [0, 0] + [x + y for x, y in zip(row, older)]  # s[j + 2] = b(k, j) + b(k-1, j)
+        older, row = row, [x + y for x, y in zip(s[: width + 1], s[1:])]
+
+
 def a_table_oracle(max_sum):
     """a(k, n) for k + n <= max_sum, keyed (k, n): the dict-backed four-term
     recurrence that _a_rows replaced."""
@@ -463,6 +474,36 @@ class TestKernelsMatchOracles:
         t = cnt.a_table(60)
         assert {(k, n): t.value(k, n) for k, n in pairs(60)} == a_table_oracle(60)
 
+    @pytest.mark.parametrize("max_sum", [60, 400])
+    def test_b_diagonals_are_the_by_k_rows_read_by_antidiagonals(self, max_sum):
+        by_k = list(islice(b_rows_by_k(max_sum), max_sum + 1))
+        want = [[by_k[i][s - i] for i in range(s + 1)] for s in range(max_sum + 1)]
+        assert list(islice(cnt._b_diagonals(), max_sum + 1)) == want
+
+    def test_b_diagonals_cut_to_a_rectangle_keep_its_entries(self):
+        by_k = list(islice(b_rows_by_k(40), 41))
+        for k, n in [(0, 0), (0, 7), (7, 0), (3, 9), (9, 3), (12, 12), (20, 17)]:
+            for s, row in enumerate(cnt._b_diagonals(k, n)):
+                assert len(row) > min(s, k)
+                assert all(row[i] == by_k[i][s - i] for i in range(max(0, s - n), min(s, k) + 1))
+            assert s == max(k + n, 3)
+
+    def test_a_long_rows_match_the_oracle(self):
+        rows = islice(cnt._a_long_rows(30), 31)
+        assert all(row == [a_oracle(k, n) for n in range(31)] for k, row in enumerate(rows))
+
+    def test_m_rows_match_the_oracle(self):
+        rows = islice(cnt._m_rows(), 31)
+        assert all(row == [m_oracle(k, n) for n in range(-k, k + 1)] for k, row in enumerate(rows))
+
+    def test_s_rows_match_the_oracle(self):
+        rows = islice(cnt._s_rows(40), 31)
+        assert all(row == [s_oracle(n, k) for k in range(41)] for n, row in enumerate(rows))
+
+    def test_tiling_rows_match_the_oracle(self):
+        rows = islice(cnt._tiling_rows(), 31)
+        assert all(row == [tilings_oracle(w, v) for v in range(w + 1)] for w, row in enumerate(rows))
+
     def test_diagonal_binomial_ratio_matches_comb(self):
         for n in range(-2, 200):
             want = sum(math.comb(n - l, l) ** 2 for l in range(n // 2 + 1))
@@ -489,3 +530,12 @@ class TestKernelsAtScale:
     def test_only_z_value_keeps_a_memo(self):
         memoized = [name for name, f in vars(cnt).items() if hasattr(f, "cache_info")]
         assert memoized == ["z_value"]
+
+    def test_fibonacci_keeps_no_module_state(self):
+        def sizes():
+            return {name: len(v) for name, v in vars(cnt).items() if isinstance(v, (list, dict))}
+
+        before = sizes()
+        assert cnt.fibonacci(3000) == cnt.fibonacci(2999) + cnt.fibonacci(2998)
+        assert cnt.fib_bound_check(3000, 3000)
+        assert sizes() == before

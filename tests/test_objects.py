@@ -182,7 +182,7 @@ class TestClosedSets:
         zt = cnt.z_table(12)
         for m in range(13):
             got = list(enum_closed_sets(m))
-            assert len(got) == sum(zt.row(m))
+            assert len(got) == sum(zt.rows[m])
             assert_sorted_unique(got)
             for c in got:
                 c.validate()
