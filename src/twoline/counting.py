@@ -18,8 +18,8 @@ generator of rows (_a_rows, _a_long_rows, _b_diagonals, _z_rows, _m_rows,
 _s_rows, _tiling_rows) that keeps only the rows the next one reads and never
 changes a row it has yielded.  A table is the first rows of one, and a
 single-value counter reads one entry of one: no recursion, and nothing
-outlives the call (z_value alone keeps a memo).  The binomial sums, signed
-paths and brute-force checks are independent routes, kept apart on purpose.
+outlives the call (z_value alone keeps a memo).  The binomial sums and the
+brute-force signed paths are independent routes, kept apart on purpose.
 Tables are immutable, so everything here can be shared freely across threads.
 """
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Iterator, NamedTuple
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
 
 SIGNED_PATH_MAX_SUM = 24
-COMPOSITION_CHECK_MAX = 20
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -50,9 +49,15 @@ class TriangleTable(NamedTuple):
 
     def value(self, i: int, j: int) -> int:
         """a(i, j), b(i, j) or z(i, j): zero at odd a-sums and outside the rows."""
-        if i < 0 or j < 0 or (self.kind == "a" and (i + j) % 2):
+        kind = self.kind
+        if i < 0 or j < 0 or (kind == "a" and (i + j) % 2):
             return 0
-        r, pos = {"a": ((i + j) // 2, j), "b": (i + j, i), "z": (i, j)}[self.kind]
+        if kind == "a":
+            r, pos = (i + j) // 2, j
+        elif kind == "b":
+            r, pos = i + j, i
+        else:
+            r, pos = i, j
         try:
             return self.rows[r][pos]
         except IndexError:  # past the last row, or z(m, k) with k > m
@@ -273,18 +278,6 @@ def asymptotic_estimate(n: int) -> AsymptoticEstimate:
     return AsymptoticEstimate(n, estimate_log, exact_log, relative_error)
 
 
-def fib_bound_check(k: int, n: int) -> bool:
-    """Exact check of the row-sum bound a(k, n) <= F(k + n).
-
-    The bound is meaningful for k + n >= 1; the lone k + n = 0 entry is
-    a(0,0) = 1 and is accepted as its own base case (the phi-form upper
-    bound starts at k + n = 2 anyway).
-    """
-    if k + n == 0:
-        return a_long(0, 0) == 1
-    return a_long(k, n) <= fibonacci(k + n)
-
-
 def _m_rows() -> Iterator[list[int]]:
     """Rows m(i, -i..i) for i = 0, 1, 2, ...: the last-step recurrence
 
@@ -376,32 +369,3 @@ def signed_step_path_count(k: int, n: int) -> int:
 
     walk(0, 0, 1)
     return total
-
-
-def composition_identity_check(n: int, ell: int) -> bool:
-    """Brute-force check of the twos-vs-summands composition identity.
-
-    Counts {1,2}-compositions of n with exactly ell twos, and compositions
-    of n + 2 into parts >= 2 with exactly ell + 1 summands; both must equal
-    C(n - ell, ell).
-    """
-    if n > COMPOSITION_CHECK_MAX:
-        raise InstanceTooLarge(f"composition check capped at n <= {COMPOSITION_CHECK_MAX}")
-
-    def count_s1(total: int, twos: int) -> int:
-        if total == 0:
-            return 1 if twos == 0 else 0
-        acc = count_s1(total - 1, twos)
-        if total >= 2 and twos >= 1:
-            acc += count_s1(total - 2, twos - 1)
-        return acc
-
-    def count_s3(total: int, parts: int) -> int:
-        if parts == 0:
-            return 1 if total == 0 else 0
-        return sum(count_s3(total - p, parts - 1) for p in range(2, total + 1))
-
-    lhs = count_s1(n, ell)
-    rhs = count_s3(n + 2, ell + 1)
-    expected = math.comb(n - ell, ell) if 0 <= ell <= n - ell else 0
-    return lhs == rhs == expected

@@ -14,8 +14,8 @@ Two modes are distinguished:
   non_self_crossing  starts at L1 and ends at Rn; the straight-line
                      drawing has no crossings
 
-Hole coordinates are integers (column 0 or 1, row index), so every
-intersection test below is exact.
+Holes sit in two columns at integer rows, so the crossing test needs no
+geometry: it compares row indices only, and is exact.
 """
 from __future__ import annotations
 
@@ -40,41 +40,25 @@ def _coord(h: Hole) -> tuple[int, int]:
     return (0 if h[0] == "L" else 1, h[1])
 
 
-def _orient(a, b, c) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
 def segments_cross(a: Hole, b: Hole, c: Hole, d: Hole) -> bool:
-    """True iff segments ab and cd meet anywhere except a shared hole endpoint."""
-    pa, pb, pc, pd = _coord(a), _coord(b), _coord(c), _coord(d)
-    shared = {a, b} & {c, d}
-    o1, o2 = _orient(pc, pd, pa), _orient(pc, pd, pb)
-    o3, o4 = _orient(pa, pb, pc), _orient(pa, pb, pd)
-    if o1 == o2 == o3 == o4 == 0:
-        # collinear: compare 1-D intervals along the line
-        lo1, hi1 = sorted((pa, pb))
-        lo2, hi2 = sorted((pc, pd))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        # single shared coordinate: fine only if it is a shared endpoint hole
-        return not (shared and _coord(next(iter(shared))) == lo)
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2) and 0 not in (o3, o4):
-        return True  # proper crossing
-    # touching: an endpoint of one lies on the other segment
-    for p, seg_lo, seg_hi, others in (
-        (pa, pc, pd, (o1,)),
-        (pb, pc, pd, (o2,)),
-        (pc, pa, pb, (o3,)),
-        (pd, pa, pb, (o4,)),
-    ):
-        if others[0] == 0 and min(seg_lo, seg_hi) <= p <= max(seg_lo, seg_hi):
-            if not any(_coord(s) == p for s in shared):
-                return True
-    return False
+    """True iff segments ab and cd meet anywhere except a shared hole endpoint.
+
+    Every hole sits in one of two columns, so three cases cover every pair:
+    two segments spanning the columns, (L i, R j) and (L p, R q), cross iff
+    (i - p)(j - q) < 0; two segments inside one column meet iff they are in
+    the same column and their rows overlap in more than one point; and a
+    column segment meets a spanning one iff the spanning segment's end in
+    that column lies strictly inside the column segment's rows.
+    """
+    (a, b), (c, d) = sorted((a, b)), sorted((c, d))  # L before R, then top down
+    if a[0] != b[0] and c[0] != d[0]:
+        return (a[1] - c[1]) * (b[1] - d[1]) < 0
+    if a[0] == b[0] and c[0] == d[0]:
+        return a[0] == c[0] and min(b[1], d[1]) > max(a[1], c[1])
+    if a[0] != b[0]:  # make ab the column segment
+        a, b, c, d = c, d, a, b
+    end = c if c[0] == a[0] else d
+    return a[1] < end[1] < b[1]
 
 
 @dataclass(frozen=True)
@@ -117,11 +101,10 @@ class Lacing:
         lonely = self.unlaced_hole()
         if lonely is not None:
             raise InvalidInput(f"hole {lonely} has no opposite-side neighbour")
-        first, last = self.order[0], self.order[-1]
-        if first != ("L", 1):
+        if self.order[:1] != (("L", 1),):
             raise InvalidInput("lacing must start at the top-left hole")
         want_end = ("R", 1) if mode == "right" else ("R", self.n)
-        if last != want_end:
+        if self.order[-1] != want_end:
             raise InvalidInput(f"lacing must end at {want_end}")
         if mode == "non_self_crossing" and self.has_crossing():
             raise InvalidInput("lacing crosses itself")

@@ -63,18 +63,6 @@ class Staircase:
     def encode_steps(self) -> str:
         return "-".join(f"{h}{v}" for h, v in self.runs)
 
-    @classmethod
-    def decode_steps(cls, text: str) -> "Staircase":
-        text = text.strip()
-        if not text:
-            return cls(())
-        runs = []
-        for tok in text.split("-"):
-            if len(tok) != 2 or not tok.isdigit():
-                raise InvalidInput(f"bad step token {tok!r}")
-            runs.append((int(tok[0]), int(tok[1])))
-        return cls(tuple(runs))
-
 
 def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
     """All staircases from (0,0) to (k,n), ordered by their run sequence."""

@@ -129,7 +129,7 @@ def inv_sqrt_trunc(p: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(r))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TruncatedSeries2:
     """Bivariate integer series truncated at orders (K, N).
 
@@ -149,24 +149,6 @@ class TruncatedSeries2:
             return 0
         return self.coeffs[i][j]
 
-    def truncate(self, K: int, N: int) -> "TruncatedSeries2":
-        return TruncatedSeries2(
-            tuple(
-                tuple(self.coeff(i, j) for j in range(N + 1)) for i in range(K + 1)
-            )
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        K = min(self.orders[0], other.orders[0])
-        N = min(self.orders[1], other.orders[1])
-        return all(
-            self.coeffs[i][j] == other.coeffs[i][j]
-            for i in range(K + 1)
-            for j in range(N + 1)
-        )
-
 
 def series2(terms: Mapping[tuple[int, int], int], K: int, N: int) -> TruncatedSeries2:
     """Build a bivariate series from a {(deg_x, deg_y): coefficient} mapping."""
@@ -175,28 +157,6 @@ def series2(terms: Mapping[tuple[int, int], int], K: int, N: int) -> TruncatedSe
         if 0 <= i <= K and 0 <= j <= N:
             grid[i][j] = int(c)
     return TruncatedSeries2(tuple(tuple(row) for row in grid))
-
-
-def mul2_trunc(
-    p: TruncatedSeries2, q: TruncatedSeries2, K: int, N: int
-) -> TruncatedSeries2:
-    """Product of two bivariate series, truncated at (K, N)."""
-    out = [[0] * (N + 1) for _ in range(K + 1)]
-    pK, pN = p.orders
-    for i in range(min(pK, K) + 1):
-        for j in range(min(pN, N) + 1):
-            pij = p.coeffs[i][j]
-            if pij == 0:
-                continue
-            qrows = q.coeffs
-            for u in range(min(q.orders[0], K - i) + 1):
-                row = qrows[u]
-                base = out[i + u]
-                for v in range(min(q.orders[1], N - j) + 1):
-                    c = row[v]
-                    if c:
-                        base[j + v] += pij * c
-    return TruncatedSeries2(tuple(tuple(row) for row in out))
 
 
 def bivariate_inverse_coeffs(

@@ -228,7 +228,7 @@ def suite_bounds(max_sum: int = 60) -> VerificationReport:
         "fibonacci-bound",
         f"a(k,n) <= F(k+n) for k+n <= {max_sum}",
         _pairs(max_sum),
-        # a(0,0) = 1 is its own base case, as in cnt.fib_bound_check
+        # F(0) = 0 bounds nothing, so a(0,0) = 1 is its own base case
         lambda k, n: table.value(k, n) == 1
         if k + n == 0
         else table.value(k, n) <= fib[k + n],

@@ -88,7 +88,7 @@ def test_criterion_4_forty_points_and_fibonacci_bounds():
     ok = a4040 == cnt.a_binomial(40, 40) and a4040 < 3**39
     for s in range(2, 61):
         for k in range(s + 1):
-            if not cnt.fib_bound_check(k, s - k):
+            if not cnt.a_long(k, s - k) <= cnt.fibonacci(s):
                 ok = False
     report(4, "forty-points-bound", ok, time.perf_counter() - start, budget=1.0)
 

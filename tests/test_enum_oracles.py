@@ -6,9 +6,12 @@ configurations before it generated them in canonical order.  They are kept
 here as test-only oracles: the streaming generators must yield exactly the
 same objects in exactly the same order, and must build no more objects
 than they are asked for.  `lacings_oracle` is brute force over every visit
-order, against the pruned backtracking of `enum_lacings`.
+order, against the pruned backtracking of `enum_lacings`.  Since it validates
+through `Lacing.validate`, it shares that method's crossing test, so
+`segments_cross_reference`, a general-position segment intersection, checks
+the two-column rule of `segments_cross` on its own.
 """
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -21,6 +24,7 @@ from twoline.objects import (
     enum_chords,
     enum_lacings,
     enum_matchings,
+    segments_cross,
 )
 from twoline.objects import chords as chords_mod
 from twoline.objects import matching as matching_mod
@@ -111,6 +115,55 @@ def lacings_oracle(k, n, mode):
             continue
         found.append(lacing)
     return found
+
+
+def _coord(h):
+    return (0 if h[0] == "L" else 1, h[1])
+
+
+def _orient(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def segments_cross_reference(a, b, c, d):
+    """True iff segments ab and cd meet anywhere except a shared hole endpoint,
+    by orientations in the plane, for holes anywhere."""
+    pa, pb, pc, pd = _coord(a), _coord(b), _coord(c), _coord(d)
+    shared = {a, b} & {c, d}
+    o1, o2 = _orient(pc, pd, pa), _orient(pc, pd, pb)
+    o3, o4 = _orient(pa, pb, pc), _orient(pa, pb, pd)
+    if o1 == o2 == o3 == o4 == 0:
+        # collinear: compare 1-D intervals along the line
+        lo1, hi1 = sorted((pa, pb))
+        lo2, hi2 = sorted((pc, pd))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return False
+        if lo < hi:
+            return True
+        # single shared coordinate: fine only if it is a shared endpoint hole
+        return not (shared and _coord(next(iter(shared))) == lo)
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2) and 0 not in (o3, o4):
+        return True  # proper crossing
+    # touching: an endpoint of one lies on the other segment
+    for p, seg_lo, seg_hi, o in ((pa, pc, pd, o1), (pb, pc, pd, o2), (pc, pa, pb, o3), (pd, pa, pb, o4)):
+        if o == 0 and min(seg_lo, seg_hi) <= p <= max(seg_lo, seg_hi):
+            if not any(_coord(s) == p for s in shared):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_two_column_rule_equals_the_geometry(k):
+    """Every pair of distinct segments between holes, each drawn either way."""
+    for n in range(1, 7):
+        holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
+        segments = list(combinations(holes, 2))
+        for (a, b), (c, d) in combinations(segments, 2):
+            want = segments_cross_reference(a, b, c, d)
+            for args in ((a, b, c, d), (b, a, c, d), (c, d, a, b), (c, d, b, a)):
+                assert segments_cross(*args) == want, args
 
 
 @pytest.mark.parametrize("total", range(-1, 17))

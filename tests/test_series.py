@@ -182,17 +182,26 @@ class TestBivariateInverse:
         assert inv.coeff(0, 0) == 1
 
     def test_product_is_one(self):
+        def product(p, q, K, N):
+            """Coefficients of p * q up to (K, N), by the schoolbook sum."""
+            return tuple(
+                tuple(
+                    sum(p.coeff(u, v) * q.coeff(i - u, j - v) for u in range(i + 1) for v in range(j + 1))
+                    for j in range(N + 1)
+                )
+                for i in range(K + 1)
+            )
+
         denom = ser.series2(MATCHING_DENOM, 8, 8)
         inv = ser.bivariate_inverse_coeffs(denom, 8, 8)
-        prod = ser.mul2_trunc(denom, inv, 8, 8)
-        assert prod == ser.series2({(0, 0): 1}, 8, 8)
+        assert product(denom, inv, 8, 8) == ser.series2({(0, 0): 1}, 8, 8).coeffs
 
     def test_truncation_stability(self):
         denom_big = ser.series2(MATCHING_DENOM, 9, 7)
         denom_small = ser.series2(MATCHING_DENOM, 5, 4)
         big = ser.bivariate_inverse_coeffs(denom_big, 9, 7)
         small = ser.bivariate_inverse_coeffs(denom_small, 5, 4)
-        assert big.truncate(5, 4) == small
+        assert tuple(row[:5] for row in big.coeffs[:6]) == small.coeffs
 
     def test_rejects_non_unit_constant(self):
         with pytest.raises(NonUnitConstantTerm):
