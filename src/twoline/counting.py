@@ -18,8 +18,12 @@ generator of rows (_a_rows, _a_long_rows, _b_diagonals, _z_rows, _m_rows,
 _s_rows, _tiling_rows) that keeps only the rows the next one reads and never
 changes a row it has yielded.  A table is the first rows of one, and a
 single-value counter reads one entry of one: no recursion, and nothing
-outlives the call (z_value alone keeps a memo).  The binomial sums and the
-brute-force signed paths are independent routes, kept apart on purpose.
+outlives the call (z_value alone keeps a memo).  The binomial sums
+(a_binomial, b_binomial, z_binomial) step each term from the one before, so
+their work is bounded by the smaller index: they are the routes `count` takes
+for every family but r, and a_binomial is verify's independent oracle for the
+a rows.  The sums and the brute-force signed paths never read a recurrence,
+on purpose.
 Tables are immutable, so everything here can be shared freely across threads.
 """
 from __future__ import annotations
@@ -121,12 +125,21 @@ def a_long(k: int, n: int) -> int:
 
 
 def a_binomial(k: int, n: int) -> int:
-    """Closed form: sum over j = parity(k) of C((k+j)/2, j) * C((n+j)/2, j)."""
-    if k < 0 or n < 0 or (k + n) % 2 == 1:
+    """Closed form: sum over j = parity(k) of C(p, j) * C(q, j), p = (k+j)/2, q = (n+j)/2.
+
+    Each term comes from the one before by the exact ratio
+    (p+1)(p-j)(q+1)(q-j) / ((j+1)(j+2))^2, so the work is min(k, n)/2 steps.
+    """
+    if k < 0 or n < 0 or (k + n) % 2:
         return 0
-    total = 0
-    for j in range(k % 2, min(k, n) + 1, 2):
-        total += math.comb((k + j) // 2, j) * math.comb((n + j) // 2, j)
+    p, q = (k + 1) // 2, (n + 1) // 2  # at the first term, j = k % 2
+    total = term = p * q if k % 2 else 1
+    for i in range(k % 2 + 1, min(k, n), 2):  # i = j + 1: the term at j + 2 from the one at j
+        p += 1
+        q += 1
+        d = i * (i + 1)
+        term = term * (p * (p - i) * q * (q - i)) // (d * d)
+        total += term
     return total
 
 
@@ -208,6 +221,25 @@ def b_value(k: int, n: int) -> int:
     return next(islice(_b_diagonals(k, n), k + n, None))[k]
 
 
+def b_binomial(k: int, n: int) -> int:
+    """Closed form from B(x, y) = 1 / (1 - xy(1+x)(1+y)): the sum over m of
+    C(m, k-m) * C(m, n-m), for max(k, n)/2 <= m <= min(k, n).
+
+    Each term comes from the one before by the exact ratio
+    (m+1)^2 (k-m)(n-m) / ((2m+2-k)(2m+1-k)(2m+2-n)(2m+1-n)).
+    """
+    m, top = (max(k, n) + 1) // 2, min(k, n)
+    if m > top:  # includes every negative index
+        return 0
+    total = term = math.comb(m, k - m) * math.comb(m, n - m)
+    for m in range(m, top):  # the term at m + 1 from the one at m
+        term = term * ((m + 1) ** 2 * (k - m) * (n - m)) // (
+            (2 * m + 2 - k) * (2 * m + 1 - k) * (2 * m + 2 - n) * (2 * m + 1 - n)
+        )
+        total += term
+    return total
+
+
 @lru_cache(maxsize=None)
 def z_value(m: int, k: int) -> int:
     """Single z(m, k) via the memoized recurrences."""
@@ -218,6 +250,16 @@ def z_value(m: int, k: int) -> int:
     if m % 2 == 0:
         return z_value(m - 1, k) + z_value(m - 2, k - 2)
     return z_value(m - 1, k - 1) + z_value(m - 2, k)
+
+
+def z_binomial(m: int, k: int) -> int:
+    """z(m, k) from a's binomial sum: z(2n, k) = a(2n-k, k), and for odd m the
+    even-row rule z(m+1, k) = z(m, k) + z(m-1, k-2) gives a(m+1-k, k) - a(m+1-k, k-2)."""
+    if k < 0 or k > m:
+        return 0
+    if m % 2 == 0:
+        return a_binomial(m - k, k)
+    return a_binomial(m + 1 - k, k) - a_binomial(m + 1 - k, k - 2)
 
 
 def fibonacci(m: int) -> int:
@@ -339,33 +381,28 @@ def d_count(k: int, n: int) -> int:
     return sum(a * b for a, b in zip(narrow, row))
 
 
-def signed_step_path_count(k: int, n: int) -> int:
-    """Signed lattice-path oracle for a(k, n).
+def signed_step_path_counts(max_sum: int) -> list[list[int]]:
+    """Signed lattice-path oracle for a: totals[k][n] for k + n <= max_sum.
 
-    Exhaustively walks every path from the origin to (k, n) with steps
-    (2,0), (0,2), (1,1), (2,2), weighting each path by (-1)^(number of
-    (2,2) steps).  Deliberately unmemoized: this is the independent
-    brute-force route against which the algebraic counters are checked.
+    Exhaustively walks every path from the origin with steps (2,0), (0,2),
+    (1,1), (2,2) that ends at some k + n <= max_sum, once, adding its weight
+    (-1)^(number of (2,2) steps) to its endpoint's total.  Deliberately
+    unmemoized: this is the independent brute-force route against which the
+    algebraic counters are checked.
     """
-    if k + n > SIGNED_PATH_MAX_SUM:
+    if max_sum > SIGNED_PATH_MAX_SUM:
         raise InstanceTooLarge(f"signed path enumeration capped at k+n <= {SIGNED_PATH_MAX_SUM}")
-    if k < 0 or n < 0:
-        return 0
-    total = 0
+    totals = [[0] * (max_sum + 1 - k) for k in range(max_sum + 1)]
 
     def walk(x: int, y: int, sign: int) -> None:
-        nonlocal total
-        if x == k and y == n:
-            total += sign
-            return
-        if x + 2 <= k:
+        totals[x][y] += sign
+        if x + y + 2 <= max_sum:
             walk(x + 2, y, sign)
-        if y + 2 <= n:
             walk(x, y + 2, sign)
-        if x + 1 <= k and y + 1 <= n:
             walk(x + 1, y + 1, sign)
-        if x + 2 <= k and y + 2 <= n:
-            walk(x + 2, y + 2, -sign)
+            if x + y + 4 <= max_sum:
+                walk(x + 2, y + 2, -sign)
 
-    walk(0, 0, 1)
-    return total
+    if totals:
+        walk(0, 0, 1)
+    return totals

@@ -3,7 +3,9 @@
 Each suite produces a VerificationReport with one entry per check;
 `overall` is the conjunction.  Every check is a pure function of its
 parameters, so suites could be sharded freely; they are run sequentially
-here because each one is already fast at its default scale.
+here because each one is already fast at its default scale.  The suites
+that enumerate import the objects and bijections when they run, so the
+suites of counts load neither.
 """
 from __future__ import annotations
 
@@ -13,26 +15,9 @@ from dataclasses import dataclass, field
 from itertools import islice, permutations
 from operator import mul
 
-from . import bijections as bij
 from . import counting as cnt
 from . import families
 from . import series as ser
-from .objects import (
-    Lacing,
-    enum_012,
-    enum_chords,
-    enum_closed_sets,
-    enum_compositions,
-    enum_domino_pairs,
-    enum_lacings,
-    enum_matchings,
-    enum_peakless,
-    enum_staircases,
-    enum_weighted_paths,
-)
-from .objects.compositions import Composition
-from .objects.fence import ClosedSet
-from .partsets import ONE_TWO
 
 @dataclass(frozen=True)
 class Check:
@@ -107,6 +92,7 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
     sums = list(islice(cnt._s_rows(max_sum), half + 1))  # sums[n][k] = s(n, k)
     tilings = list(islice(cnt._tiling_rows(), max_sum + 1))  # d(k, n) = tilings[k] . tilings[n]
     diagonal = list(islice(cnt.r_diag_terms(), half + 1))  # r(n)
+    signed = cnt.signed_step_path_counts(signed_max)  # signed[k][n], every path walked once
     a = table.value
     fence = [(n, k) for n in range(half + 1) for k in range(2 * n + 1)]
     # check id, detail, indices, the identity at those indices
@@ -115,7 +101,7 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
          f"extraction agree for k+n <= {max_sum}", _pairs(max_sum),
          lambda k, n: a(k, n) == along[k][n] == cnt.a_binomial(k, n) == gf.coeff(k, n)),
         ("signed-path-agreement", f"signed lattice-path enumeration agrees for k+n <= {signed_max}",
-         _pairs(signed_max), lambda k, n: cnt.signed_step_path_count(k, n) == a(k, n)),
+         _pairs(signed_max), lambda k, n: signed[k][n] == a(k, n)),
         ("symmetry-and-parity", "a(k,n) = a(n,k); odd k+n entries vanish", _pairs(max_sum),
          lambda k, n: a(k, n) == a(n, k) and (a(k, n) == 0 or (k + n) % 2 == 0)),
         ("row-unimodality", "rows weakly increase toward their centre",
@@ -165,6 +151,9 @@ def suite_diagonal(max_n: int = 200) -> VerificationReport:
     rep = VerificationReport("diagonal")
     g = ser.inv_sqrt_trunc(ser.series([1, -2, -1, -2, 1]), max_n)
     rs = list(islice(cnt.r_diag_terms(), max_n + 1))
+    # tiling row n holds C(n-l, l) at n - 2l verticals, built by t(n, v) =
+    # t(n-1, v-1) + t(n-2, v), the rule C(n-l, l) = C(n-1-l, l) + C(n-1-l, l-1)
+    squares = [sum(map(mul, row, row)) for row in islice(cnt._tiling_rows(), max_n + 1)]
     _add_identity(
         rep,
         "series-route",
@@ -177,7 +166,7 @@ def suite_diagonal(max_n: int = 200) -> VerificationReport:
         "binomial-route",
         f"holonomic recurrence matches the squared-binomial sum up to n = {max_n}",
         ((n,) for n in range(max_n + 1)),
-        lambda n: rs[n] == cnt.a_diag_binomial(n),
+        lambda n: rs[n] == squares[n],
     )
     amax = min(max_n, 100)
     table = cnt.a_table(2 * amax)
@@ -260,6 +249,15 @@ def roundtrip(domain, forward, inverse) -> tuple[int, int, int, object]:
 
 
 def suite_bijections(max_scale: int = 12) -> VerificationReport:
+    from . import bijections as bij
+    from .objects import (
+        enum_012, enum_chords, enum_closed_sets, enum_compositions, enum_matchings,
+        enum_peakless, enum_staircases,
+    )
+    from .objects.compositions import Composition
+    from .objects.fence import ClosedSet
+    from .partsets import ONE_TWO
+
     rep = VerificationReport("bijections")
 
     def closed_sets():
@@ -347,6 +345,8 @@ def suite_bijections(max_scale: int = 12) -> VerificationReport:
 
 
 def suite_lacing() -> VerificationReport:
+    from .objects import enum_lacings
+
     rep = VerificationReport("lacing")
     for n in (2, 3, 4):
         got = _size(enum_lacings(n, n, "right"))
@@ -395,6 +395,8 @@ def suite_lacing() -> VerificationReport:
 def _count_unrestricted_lacings(k: int, n: int) -> int:
     """Lacings free of the topmost-pair rule: start on the left, end on the
     right, every hole once, every hole with an opposite-side lace-neighbour."""
+    from .objects import Lacing
+
     holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
     return sum(
         1
@@ -407,6 +409,11 @@ def _count_unrestricted_lacings(k: int, n: int) -> int:
 
 def suite_enumeration(max_scale: int = 12) -> VerificationReport:
     """Cardinality agreement between every enumerator and its counter."""
+    from .objects import (
+        enum_012, enum_chords, enum_closed_sets, enum_domino_pairs, enum_lacings,
+        enum_matchings, enum_peakless, enum_staircases, enum_weighted_paths,
+    )
+
     rep = VerificationReport("enumeration")
     s = min(max_scale, 12)
     small, lmax = min(s // 2 + 2, 8), min(s, 8)

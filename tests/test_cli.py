@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import math
@@ -49,11 +50,37 @@ class TestCount:
         code, out, _ = run(capsys, "count", "r", "--n", "10400")
         assert code == 0 and out == f"{cnt.a_diag_binomial(10400)}\n"
 
+    # family -> the row-generator counter (`count` reads a binomial sum), on (k, n)
+    ROW_COUNTERS = {
+        "a": cnt.a_long,
+        "b": cnt.b_value,
+        "z": cnt.z_table(16).value,
+        "d": cnt.d_count,
+        "m": cnt.m_count,
+        "s": cnt.s_count,
+    }
+
+    @pytest.mark.parametrize("family", ROW_COUNTERS)
+    def test_every_count_equals_its_row_generator(self, family):
+        names, counter = cli.COUNTERS[family]
+        for k in range(-2, 15):
+            heights = range(-abs(k) - 1, abs(k) + 2) if family == "m" else range(-2, 15)
+            for n in heights:
+                args = dict(zip(names, (k, n)))
+                got = counter(argparse.Namespace(**args))
+                assert got == self.ROW_COUNTERS[family](*args.values()), (family, args)
+
+    def test_count_z_leaves_the_z_memo_alone(self, capsys):
+        before = cnt.z_value.cache_info().currsize
+        want = f"{cnt.z_table(40).value(40, 13)}\n"
+        assert run(capsys, "count", "z", "--n", "40", "--k", "13") == (0, want, "")
+        assert cnt.z_value.cache_info().currsize == before
+
     def test_recursion_exhaustion_is_exit_4(self, capsys, monkeypatch):
         def deep(k, n):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cnt, "b_value", deep)
+        monkeypatch.setattr(cnt, "b_binomial", deep)
         code, out, err = run(capsys, "count", "b", "--k", "1500", "--n", "1500")
         assert code == 4 and out == ""
         assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -393,12 +420,13 @@ def no_digit_limit():
 @pytest.mark.parametrize(
     "argv, code, value",
     [
-        ("count a --k 1200 --n 1200", 0, lambda: cnt.a_binomial(1200, 1200)),
+        ("count a --k 1200 --n 1200", 0, lambda: cnt.r_diag(1200)),
         ("count b --k 1500 --n 1500", 0, lambda: cnt.a_diag_binomial(1500)),
-        ("count m --k 1200 --n 0", 0, lambda: cnt.a_binomial(1200, 1200)),
+        ("count m --k 1200 --n 0", 0, lambda: cnt.r_diag(1200)),
         ("count r --n 10400", 0, lambda: cnt.a_diag_binomial(10400)),
-        ("count a --k 2000 --n 2000", 0, lambda: cnt.a_binomial(2000, 2000)),
-        ("count z --n 1500 --k 500", 4, None),  # z_value still recurses
+        ("count a --k 2000 --n 2000", 0, lambda: cnt.r_diag(2000)),
+        ("count z --n 1500 --k 500", 0, lambda: next(islice(cnt._z_rows(), 1500, None))[500]),
+        ("count z --n 100000 --k 3", 0, lambda: cnt.a_long(99997, 3)),
         ("verify --suite triangle --max -1", 2, None),
         ("verify --suite all --max -1", 2, None),
         ("enumerate weighted --cost 3 --limit -1", 2, None),

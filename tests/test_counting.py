@@ -114,6 +114,35 @@ class TestABinomial:
         assert cnt.a_diag_binomial(3) == 1 + 4 == 5
 
 
+class TestClosedForms:
+    """The binomial sums `count` reads, against the row generators."""
+
+    def test_a_binomial_steps_equal_fresh_binomials(self):
+        for k in range(-2, 61):
+            for n in range(-2, 61):
+                want = sum(
+                    math.comb((k + j) // 2, j) * math.comb((n + j) // 2, j)
+                    for j in range(k % 2, min(k, n) + 1, 2)
+                ) if k >= 0 and n >= 0 and (k + n) % 2 == 0 else 0
+                assert cnt.a_binomial(k, n) == want
+
+    def test_a_binomial_past_every_row_generator(self):
+        assert cnt.a_binomial(10**19, 2) == 1 + math.comb(10**19 // 2 + 1, 2)
+        assert cnt.a_binomial(2, 10**19) == cnt.a_binomial(10**19, 2)
+
+    def test_b_binomial_is_the_b_table(self):
+        t = cnt.b_table(200)
+        for s in range(201):
+            for k in range(-1, s + 2):
+                assert cnt.b_binomial(k, s - k) == t.value(k, s - k)
+
+    def test_z_binomial_is_the_z_table(self):
+        t = cnt.z_table(200)
+        for m in range(-1, 201):
+            for k in range(-2, m + 3):
+                assert cnt.z_binomial(m, k) == t.value(m, k)
+
+
 class TestBTable:
     def test_displayed_rows(self):
         t = cnt.b_table(8)
@@ -260,19 +289,21 @@ class TestFibBound:
 
 class TestSignedStepPaths:
     def test_anchors(self):
-        assert cnt.signed_step_path_count(1, 1) == 1
-        assert cnt.signed_step_path_count(2, 0) == 1
-        assert cnt.signed_step_path_count(2, 2) == 2
+        signed = cnt.signed_step_path_counts(4)
+        assert signed[1][1] == 1
+        assert signed[2][0] == 1
+        assert signed[2][2] == 2
 
     def test_agrees_with_triangle(self):
         t = cnt.a_table(12)
+        signed = cnt.signed_step_path_counts(12)
         for s in range(13):
             for k in range(s + 1):
-                assert cnt.signed_step_path_count(k, s - k) == t.value(k, s - k)
+                assert signed[k][s - k] == t.value(k, s - k)
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
-            cnt.signed_step_path_count(13, 13)
+            cnt.signed_step_path_counts(cnt.SIGNED_PATH_MAX_SUM + 1)
 
 
 def composition_identity_holds(n, ell):

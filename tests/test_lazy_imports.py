@@ -59,6 +59,14 @@ def test_counting_commands_load_only_the_counters(argv):
     assert [m for m in modules if m.split(".objects.")[0] in UNUSED_BY_COUNTERS] == []
 
 
+@pytest.mark.parametrize("suite", ["triangle", "diagonal", "asymptotics", "fibonacci", "bounds"])
+def test_suites_of_counts_load_no_objects_or_bijections(suite):
+    scale = ("--max", "4") if families.SUITES[suite] is not None else ()
+    code, modules = modules_after("verify", "--suite", suite, *scale)
+    assert code == 0
+    assert [m for m in modules if m.startswith(("twoline.objects", "twoline.bijections"))] == []
+
+
 def test_an_enumeration_loads_only_its_family():
     code, modules = modules_after("enumerate", "matchings", "--k", "2", "--n", "2")
     assert code == 0
