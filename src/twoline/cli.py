@@ -3,9 +3,9 @@
 Subcommands: count, table, enumerate, map, verify, export, asymptotic.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error,
 4 instance too large (an enumeration cutoff, an output over MAX_OUTPUT_BYTES,
-or recursion or memory exhausted).  All output is UTF-8 text, newline
-terminated, byte-deterministic for identical arguments, and written by
-_write in batches as it is computed.
+an index past an index-sized integer, or recursion or memory exhausted).  All
+output is UTF-8 text, newline terminated, byte-deterministic for identical
+arguments, and written by _write in batches as it is computed.
 """
 from __future__ import annotations
 
@@ -110,20 +110,16 @@ def _nonnegative(args, name) -> None:
         raise UsageError(f"--{name} must be nonnegative")
 
 
-# family -> (required arguments, counter call on the parsed arguments).  Every
-# family but r reads a binomial sum, whose work is bounded by its smaller index
-# (a_binomial is 0 at a negative index); r keeps its holonomic recurrence, the
-# fastest exact route.  The count, table and enumerate calls look up `cnt` and
-# the enumerators when they run, so a substituted module is honoured.
+# family -> (required arguments, counter call on the parsed arguments).  The
+# count, table and enumerate calls look up `cnt` and the enumerators when they
+# run, so a substituted module is honoured.
 COUNTERS = {
     "a": (("k", "n"), lambda a: cnt.a_binomial(a.k, a.n)),
-    "b": (("k", "n"), lambda a: cnt.b_binomial(a.k, a.n)),
+    "b": (("k", "n"), lambda a: cnt.b_value(a.k, a.n)),
     "z": (("n", "k"), lambda a: cnt.z_binomial(a.n, a.k)),
-    # d(k, n) = sum over v of t(k, v) t(n, v), and the tiling rows are
-    # t(w, v) = C((w+v)/2, v): the dot product is a's binomial sum
-    "d": (("k", "n"), lambda a: cnt.a_binomial(a.k, a.n)),
-    "m": (("k", "n"), lambda a: cnt.a_binomial(a.k - a.n, a.k + a.n)),  # 0 unless |n| <= k
-    "s": (("n", "k"), lambda a: cnt.a_binomial(2 * a.n - a.k, a.k)),  # 0 unless 0 <= k <= 2n
+    "d": (("k", "n"), lambda a: cnt.d_count(a.k, a.n)),
+    "m": (("k", "n"), lambda a: cnt.m_count(a.k, a.n)),
+    "s": (("n", "k"), lambda a: cnt.s_count(a.n, a.k)),
     "r": (("n",), lambda a: cnt.r_diag(a.n)),
 }
 
@@ -505,7 +501,7 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"twoline: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"twoline: instance too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (UsageError, InvalidInput, EmptyPartSet, ValueError) as exc:

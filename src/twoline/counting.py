@@ -16,21 +16,21 @@ Naming used throughout (mirrors the canonical text encodings and the CLI):
 All values are exact Python ints.  Each recurrence is written once, as a
 generator of rows (_a_rows, _a_long_rows, _b_diagonals, _z_rows, _m_rows,
 _s_rows, _tiling_rows) that keeps only the rows the next one reads and never
-changes a row it has yielded.  A table is the first rows of one, and a
-single-value counter reads one entry of one: no recursion, and nothing
-outlives the call (z_value alone keeps a memo).  The binomial sums
-(a_binomial, b_binomial, z_binomial) step each term from the one before, so
-their work is bounded by the smaller index: they are the routes `count` takes
-for every family but r, and a_binomial is verify's independent oracle for the
-a rows.  The sums and the brute-force signed paths never read a recurrence,
-on purpose.
+changes a row it has yielded: a table is the first rows of one, and a_long
+reads one entry of one.  Each family's single value but r(n) is one binomial
+sum stepped term by term, so its work is bounded by the smaller index:
+a_binomial, with m_count, s_count and d_count as index changes of it, b_value
+and z_binomial.  r_diag keeps the holonomic recurrence, z_value keeps a memo,
+and the sums and the brute-force signed paths never read a recurrence, on
+purpose: verify compares them with the rows.
 Tables are immutable, so everything here can be shared freely across threads.
 """
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLarge, NonIntegralRecurrenceStep
@@ -157,7 +157,7 @@ def a_diag_binomial(n: int) -> int:
     return total
 
 
-def _b_diagonals(k: float = math.inf, n: float = math.inf) -> Iterator[list[int]]:
+def _b_diagonals() -> Iterator[list[int]]:
     """Antidiagonals b(0, s)..b(s, 0) for s = 0, 1, 2, ...: the one b recurrence
 
         b(i, j) = b(i-1, j-1) + b(i-1, j-2) + b(i-2, j-1) + b(i-2, j-2),
@@ -165,22 +165,14 @@ def _b_diagonals(k: float = math.inf, n: float = math.inf) -> Iterator[list[int]
     which holds everywhere except (0, 0) and reads antidiagonals s-2..s-4.
     Each step adds 1 or 2 to both indices, so b(i, j) = 0 unless j <= 2i and
     i <= 2j: past the seeds s <= 3, only the entries s/3 <= i <= 2s/3 are
-    computed.  Given k and n, so are only those with i <= k and j <= n, all
-    that b(k, n) reads; the others read 0, and the last antidiagonal is k + n.
+    computed, and the others read 0.
     """
     d4, d3, d2, d1 = [1], [0, 0], [0, 1, 0], [0, 1, 1, 0]  # s = 0..3
     yield from (d4, d3, d2, d1)
-    s = 3
-    while s < k + n:
-        s += 1
-        lo, hi = max(-(-s // 3), s - n), min(2 * s // 3, k)
-        row = [0] * lo + [
-            a + b + c + d
-            for a, b, c, d in zip_longest(
-                d2[lo - 1 : hi], d3[lo - 1 : hi], d3[lo - 2 : hi - 1], d4[lo - 2 : hi - 1], fillvalue=0
-            )
-        ]
-        row += [0] * (min(s, k) + 1 - len(row))
+    for s in count(4):
+        lo, hi = -(-s // 3), 2 * s // 3
+        terms = zip(d2[lo - 1 : hi], d3[lo - 1 : hi], d3[lo - 2 : hi - 1], d4[lo - 2 : hi - 1])
+        row = [0] * lo + [a + b + c + d for a, b, c, d in terms] + [0] * (s - hi)
         yield row
         d4, d3, d2, d1 = d3, d2, d1, row
 
@@ -215,13 +207,6 @@ def z_table(max_row: int) -> TriangleTable:
 
 
 def b_value(k: int, n: int) -> int:
-    """Single b(k, n): entry k of antidiagonal k + n of _b_diagonals(k, n)."""
-    if k < 0 or n < 0 or k > 2 * n or n > 2 * k:  # outside the support of b
-        return 0
-    return next(islice(_b_diagonals(k, n), k + n, None))[k]
-
-
-def b_binomial(k: int, n: int) -> int:
     """Closed form from B(x, y) = 1 / (1 - xy(1+x)(1+y)): the sum over m of
     C(m, k-m) * C(m, n-m), for max(k, n)/2 <= m <= min(k, n).
 
@@ -300,6 +285,8 @@ def r_diag(n: int) -> int:
     """Diagonal value r(n) = a(n, n), term n of r_diag_terms."""
     if n < 0:
         raise ValueError("negative diagonal index")
+    if n > sys.maxsize:
+        raise InstanceTooLarge(f"r(n) is computed only for n <= {sys.maxsize}")
     return next(islice(r_diag_terms(), n, None))
 
 
@@ -337,10 +324,8 @@ def _m_rows() -> Iterator[list[int]]:
 
 
 def m_count(k: int, n: int) -> int:
-    """Peakless Motzkin paths with k steps ending at height n: row k of _m_rows."""
-    if abs(n) > k:
-        return 0
-    return next(islice(_m_rows(), k, None))[k + n]
+    """Peakless Motzkin paths with k steps ending at height n: a(k - n, k + n)."""
+    return a_binomial(k - n, k + n)
 
 
 def _s_rows(width: int) -> Iterator[list[int]]:
@@ -355,10 +340,8 @@ def _s_rows(width: int) -> Iterator[list[int]]:
 
 
 def s_count(n: int, k: int) -> int:
-    """0-1-2 sums: n ordered summands totalling k, never 0 right after 2."""
-    if n < 0 or k < 0 or k > 2 * n:
-        return 0
-    return next(islice(_s_rows(k), n, None))[k]
+    """0-1-2 sums: n ordered summands totalling k, never 0 right after 2: a(2n - k, k)."""
+    return a_binomial(2 * n - k, k)
 
 
 def _tiling_rows() -> Iterator[list[int]]:
@@ -372,13 +355,9 @@ def _tiling_rows() -> Iterator[list[int]]:
 
 def d_count(k: int, n: int) -> int:
     """Pairs of 2xk and 2xn domino tilings with equal numbers of verticals:
-    the dot product of rows k and n of _tiling_rows."""
-    if k < 0 or n < 0:
-        return 0
-    for w, row in enumerate(islice(_tiling_rows(), max(k, n) + 1)):
-        if w == min(k, n):
-            narrow = row
-    return sum(a * b for a, b in zip(narrow, row))
+    the sum over v of t(k, v) t(n, v), where t(w, v) = C((w+v)/2, v) counts
+    the 2xw tilings with v verticals, so it is a's binomial sum a(k, n)."""
+    return a_binomial(k, n)
 
 
 def signed_step_path_counts(max_sum: int) -> list[list[int]]:

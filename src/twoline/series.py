@@ -19,13 +19,10 @@ from .errors import NonIntegralCoefficient, NonUnitConstantTerm
 from .partsets import PartSet
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer power series truncated at an inclusive order.
-
-    Two series compare equal when they agree up to the smaller of the two
-    orders; coefficients beyond a series' order are semantically zero.
-    """
+    """Integer power series truncated at an inclusive order: coefficients
+    beyond it are semantically zero."""
 
     coeffs: tuple[int, ...]
 
@@ -43,29 +40,13 @@ class TruncatedSeries:
             return 0
         return self.coeffs[d]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return TruncatedSeries(self.coeffs + (0,) * (order - self.order))
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        upto = min(self.order, other.order)
-        return self.coeffs[: upto + 1] == other.coeffs[: upto + 1]
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def series(coeffs: Iterable[int], order: int | None = None) -> TruncatedSeries:
-    """Build a series from a coefficient list, padding or truncating to `order`."""
-    s = TruncatedSeries(tuple(int(c) for c in coeffs))
-    return s if order is None else s.truncate(order)
-
-
-def one(order: int) -> TruncatedSeries:
-    return series([1], order)
+def series(coeffs: Iterable[int]) -> TruncatedSeries:
+    """Build a series from a coefficient list."""
+    return TruncatedSeries(tuple(int(c) for c in coeffs))
 
 
 def mul_trunc(p: TruncatedSeries, q: TruncatedSeries, order: int) -> TruncatedSeries:

@@ -366,7 +366,7 @@ def suite_lacing() -> VerificationReport:
     mismatch_swapped = False
     ok_all = True
     for k, n in ((2, 3), (3, 4), (2, 4)):
-        b = cnt.b_table(k + n).value(k, n)
+        b = cnt.b_value(k, n)
         ncross = _size(enum_lacings(k, n, "non_self_crossing"))
         right = _size(enum_lacings(k, n, "right"))
         free = _count_unrestricted_lacings(k, n)

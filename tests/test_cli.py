@@ -8,6 +8,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -22,6 +23,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+TILINGS = list(islice(cnt._tiling_rows(), 15))  # TILINGS[w][v] = t(w, v)
+PEAKLESS = list(islice(cnt._m_rows(), 15))  # PEAKLESS[k][k + n] = m(k, n)
+SUMS012 = list(islice(cnt._s_rows(14), 15))  # SUMS012[n][k] = s(n, k)
 
 
 class TestCount:
@@ -50,14 +56,15 @@ class TestCount:
         code, out, _ = run(capsys, "count", "r", "--n", "10400")
         assert code == 0 and out == f"{cnt.a_diag_binomial(10400)}\n"
 
-    # family -> the row-generator counter (`count` reads a binomial sum), on (k, n)
+    # family -> its value on (k, n), read from its row generator (`count` reads a
+    # binomial sum); the indices of the test below stay under 15
     ROW_COUNTERS = {
         "a": cnt.a_long,
-        "b": cnt.b_value,
+        "b": cnt.b_table(30).value,
         "z": cnt.z_table(16).value,
-        "d": cnt.d_count,
-        "m": cnt.m_count,
-        "s": cnt.s_count,
+        "d": lambda k, n: sum(map(mul, TILINGS[k], TILINGS[n])) if min(k, n) >= 0 else 0,
+        "m": lambda k, n: PEAKLESS[k][k + n] if abs(n) <= k else 0,
+        "s": lambda n, k: SUMS012[n][k] if min(n, k) >= 0 else 0,
     }
 
     @pytest.mark.parametrize("family", ROW_COUNTERS)
@@ -80,7 +87,7 @@ class TestCount:
         def deep(k, n):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cnt, "b_binomial", deep)
+        monkeypatch.setattr(cnt, "b_value", deep)
         code, out, err = run(capsys, "count", "b", "--k", "1500", "--n", "1500")
         assert code == 4 and out == ""
         assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -430,6 +437,9 @@ def no_digit_limit():
         ("verify --suite triangle --max -1", 2, None),
         ("verify --suite all --max -1", 2, None),
         ("enumerate weighted --cost 3 --limit -1", 2, None),
+        ("count r --n 10000000000000000000", 4, None),
+        ("asymptotic --n 10000000000000000000", 4, None),
+        ("verify --suite diagonal --max 10000000000000000000", 4, None),
     ],
 )
 def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):

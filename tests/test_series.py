@@ -59,7 +59,7 @@ class TestInverseTrunc:
         assert got.coeffs == expected == (1, 1, 2, 3, 5, 8)
 
     def test_identity(self):
-        assert ser.inverse_trunc(ser.one(3), 3).coeffs == (1, 0, 0, 0)
+        assert ser.inverse_trunc(ser.series([1]), 3).coeffs == (1, 0, 0, 0)
 
     def test_rejects_non_unit_constant(self):
         with pytest.raises(NonUnitConstantTerm):
@@ -78,7 +78,7 @@ class TestInvSqrtTrunc:
         assert got.coeff(5) == brute_weighted_path_count(5) == 26
 
     def test_trivial(self):
-        assert ser.inv_sqrt_trunc(ser.one(2), 2).coeffs == (1, 0, 0)
+        assert ser.inv_sqrt_trunc(ser.series([1]), 2).coeffs == (1, 0, 0)
 
     def test_rejects_non_integral(self):
         with pytest.raises(NonIntegralCoefficient):
@@ -97,7 +97,7 @@ small_ints = st.integers(min_value=-9, max_value=9)
 def test_inverse_mul_roundtrip(tail, order):
     p = ser.series([1] + tail)
     q = ser.inverse_trunc(p, order)
-    assert ser.mul_trunc(p, q, order) == ser.one(order)
+    assert ser.mul_trunc(p, q, order).coeffs == (1,) + (0,) * order
 
 
 @given(st.lists(small_ints, min_size=0, max_size=30), st.integers(0, 32))
@@ -106,9 +106,9 @@ def test_inv_sqrt_consistency(tail, order):
     r = ser.series([1] + tail)
     p = ser.inverse_trunc(ser.mul_trunc(r, r, order), order)
     got = ser.inv_sqrt_trunc(p, order)
-    assert got == r.truncate(order)
+    assert got.coeffs == (r.coeffs + (0,) * order)[: order + 1]
     square = ser.mul_trunc(got, ser.mul_trunc(got, p, order), order)
-    assert square == ser.one(order)
+    assert square.coeffs == (1,) + (0,) * order
 
 
 def inv_sqrt_full_sum(p, order):
@@ -149,12 +149,7 @@ def test_inv_sqrt_half_sum_equals_the_full_sum(tail, square, order):
 def test_truncation_stability(tail, big, small):
     big, small = max(big, small), min(big, small)
     p = ser.series([1] + tail)
-    assert ser.inverse_trunc(p, big).truncate(small) == ser.inverse_trunc(p, small)
-
-
-def test_equality_up_to_min_order():
-    assert ser.series([1, 2, 3]) == ser.series([1, 2])
-    assert ser.series([1, 2, 3]) != ser.series([1, 1])
+    assert ser.inverse_trunc(p, big).coeffs[: small + 1] == ser.inverse_trunc(p, small).coeffs
 
 
 MATCHING_DENOM = {(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (2, 2): 1}
