@@ -22,7 +22,9 @@ sum stepped term by term, so its work is bounded by the smaller index:
 a_binomial, with m_count, s_count and d_count as index changes of it, b_value
 and z_binomial.  r_diag keeps the holonomic recurrence, z_value keeps a memo,
 and the sums and the brute-force signed paths never read a recurrence, on
-purpose: verify compares them with the rows.
+purpose: verify compares them with the rows.  asymptotic_estimate needs only
+r(n) rounded to a double, and reads it from r's binomial sum in decimal,
+rounded down and up, building the exact r(n) only when that does not decide.
 Tables are immutable, so everything here can be shared freely across threads.
 """
 from __future__ import annotations
@@ -92,9 +94,16 @@ def _a_rows() -> Iterator[list[int]]:
         older, row = row, [a + b + c - d for a, b, c, d in zip(p, p[1:], p[2:], o)]
 
 
+def _first_rows(rows: Iterator[list[int]], n_rows: int) -> tuple[tuple[int, ...], ...]:
+    """The first `n_rows` rows of a row generator, as tuples."""
+    if n_rows > sys.maxsize:
+        raise InstanceTooLarge(f"tables are built only up to {sys.maxsize} rows")
+    return tuple(map(tuple, islice(rows, max(0, n_rows))))
+
+
 def a_table(max_sum: int) -> TriangleTable:
     """Triangle of a(k, n) for k + n <= max_sum: rows 0..max_sum // 2 of _a_rows."""
-    return TriangleTable("a", tuple(map(tuple, islice(_a_rows(), max(0, max_sum // 2 + 1)))))
+    return TriangleTable("a", _first_rows(_a_rows(), max_sum // 2 + 1))
 
 
 def _a_long_rows(width: int) -> Iterator[list[int]]:
@@ -179,7 +188,7 @@ def _b_diagonals() -> Iterator[list[int]]:
 
 def b_table(max_sum: int) -> TriangleTable:
     """Triangle of b(k, n) for k + n <= max_sum: antidiagonals 0..max_sum of _b_diagonals."""
-    return TriangleTable("b", tuple(map(tuple, islice(_b_diagonals(), max(0, max_sum + 1)))))
+    return TriangleTable("b", _first_rows(_b_diagonals(), max_sum + 1))
 
 
 def _z_rows() -> Iterator[list[int]]:
@@ -203,7 +212,7 @@ def _z_rows() -> Iterator[list[int]]:
 
 def z_table(max_row: int) -> TriangleTable:
     """Rows 0..max_row of the fence triangle z(m, k), from _z_rows."""
-    return TriangleTable("z", tuple(map(tuple, islice(_z_rows(), max(0, max_row + 1)))))
+    return TriangleTable("z", _first_rows(_z_rows(), max_row + 1))
 
 
 def b_value(k: int, n: int) -> int:
@@ -290,19 +299,64 @@ def r_diag(n: int) -> int:
     return next(islice(r_diag_terms(), n, None))
 
 
+def _diagonal_sum_bounds(n: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= r(n) <= hi: a_diag_binomial's ratio loop in decimal at
+    `prec` digits, once with every operation rounded down and once up.
+
+    Every quantity in the loop is positive, so each rounding moves the sum
+    the same way.  Each bound is built as coefficient * 10**exponent, since
+    int(Decimal) is quadratic in the digits.
+    """
+    import decimal
+
+    bounds = []
+    for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+        context = decimal.Context(prec=prec, rounding=rounding, Emax=decimal.MAX_EMAX)
+        with decimal.localcontext(context):
+            total = c = decimal.Decimal(1)  # the term at l = 0
+            for l in range(1, n // 2 + 1):
+                c = c * ((n - 2 * l + 2) * (n - 2 * l + 1)) / (l * (n - l + 1))
+                total += c * c
+            _, digits, exponent = total.to_integral_value().as_tuple()
+        bounds.append(int("".join(map(str, digits))) * 10**exponent)
+    return bounds[0], bounds[1]
+
+
+def _rounded(x: int) -> tuple[float, int]:
+    """math.frexp of the int x > 0 rounded to a double's 53 bits, at any size.
+
+    Like CPython's _PyLong_Frexp, which math.log uses on ints too large for a
+    float: keep the top 55 bits with a sticky bit for the rest, then round
+    those half to even.
+    """
+    shift = x.bit_length() - 55
+    if shift <= 0:
+        return math.frexp(float(x))
+    top = x >> shift | (x & ((1 << shift) - 1) != 0)
+    mantissa, exponent = math.frexp(float(top))
+    return mantissa, exponent + shift
+
+
 def asymptotic_estimate(n: int) -> AsymptoticEstimate:
     """Leading-term estimate phi^(2n+2) / (2 * 5^(1/4) * sqrt(pi n)) vs exact r(n).
 
-    Works entirely in the log domain; math.log on the exact big integer is
-    precise to the double's 53 bits regardless of magnitude, so this stays
-    accurate for n in the thousands.
+    Works entirely in the log domain.  exact_log is math.log of the exact
+    r(n), which depends only on r(n) rounded to 53 bits.  That rounding is
+    read from an enclosure lo <= r(n) <= hi at about 30 digits
+    (_diagonal_sum_bounds), at a cost linear in n: when lo and hi round to
+    the same double, math.log(lo) is math.log(r(n)).  Only when they do not
+    is the exact r(n) built.
     """
     if n < 1:
         raise ValueError("asymptotic estimate needs n >= 1")
+    if n > sys.maxsize:
+        raise InstanceTooLarge(f"r(n) is computed only for n <= {sys.maxsize}")
     estimate_log = (2 * n + 2) * math.log(GOLDEN_RATIO) - math.log(
         2 * 5**0.25 * math.sqrt(math.pi * n)
     )
-    exact_log = math.log(r_diag(n))
+    # about 2n roundings of relative size 10**(1 - prec) each: far below 2**-53
+    lo, hi = _diagonal_sum_bounds(n, 30 + len(str(n)))
+    exact_log = math.log(lo) if _rounded(lo) == _rounded(hi) else math.log(r_diag(n))
     relative_error = abs(math.exp(estimate_log - exact_log) - 1.0)
     return AsymptoticEstimate(n, estimate_log, exact_log, relative_error)
 

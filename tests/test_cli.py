@@ -440,6 +440,7 @@ def no_digit_limit():
         ("count r --n 10000000000000000000", 4, None),
         ("asymptotic --n 10000000000000000000", 4, None),
         ("verify --suite diagonal --max 10000000000000000000", 4, None),
+        ("verify --suite fibonacci --max 10000000000000000000", 4, None),
     ],
 )
 def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):

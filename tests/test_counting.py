@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import lru_cache
 from itertools import islice
 
@@ -255,6 +256,63 @@ class TestAsymptotics:
         e2000 = cnt.asymptotic_estimate(2000).relative_error
         e4000 = cnt.asymptotic_estimate(4000).relative_error
         assert e4000 < e2000 < e1000
+
+    def test_enclosure_holds_at_a_tiny_precision(self):
+        # at 5 digits nearly every operation rounds, so each direction shows
+        for n, r in zip(range(301), cnt.r_diag_terms()):
+            lo, hi = cnt._diagonal_sum_bounds(n, 5)
+            assert lo <= r <= hi
+
+    @given(st.integers(1, 2**1023))
+    def test_rounded_is_frexp_of_the_float(self, x):
+        assert cnt._rounded(x) == math.frexp(float(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [1, 3, 2**53 - 1, 2**53 + 1, 2**60 + 2**7, 2**60 + 3 * 2**7, 2**60 + 2**7 + 1, 2**1023 + 2**970],
+    )
+    def test_rounded_halfway_cases_and_shifts(self, x):
+        m, e = math.frexp(float(x))  # 2**60 + 2**7 is halfway and rounds to even
+        assert cnt._rounded(x) == (m, e)
+        # shifted past a float's range the rounding is the same, and a set bit
+        # below the kept 55 (the sticky bit) decides a halfway case upwards
+        assert cnt._rounded(x << 2000) == (m, e + 2000)
+        if x == 2**60 + 2**7:
+            assert cnt._rounded((x << 2000) + 1) == (math.frexp(float(2**60 + 2**8))[0], 61 + 2000)
+
+    def test_rounded_past_the_largest_double(self):
+        assert cnt._rounded(2**1024 - 1) == (0.5, 1025)
+
+    def test_exact_log_is_the_log_of_r(self):
+        for n, r in zip(range(1, 601), islice(cnt.r_diag_terms(), 1, None)):
+            assert cnt.asymptotic_estimate(n).exact_log == math.log(r)
+
+    @pytest.mark.parametrize("n", [4000, 30000])
+    def test_exact_log_at_scale(self, n, monkeypatch):
+        want = math.log(cnt.r_diag(n))
+        monkeypatch.setattr(cnt, "r_diag", None)  # the enclosure decides, no fallback
+        assert cnt.asymptotic_estimate(n).exact_log == want
+
+    def test_a_wide_enclosure_falls_back_to_the_exact_value(self, monkeypatch):
+        bounds, r_diag, calls = cnt._diagonal_sum_bounds, cnt.r_diag, []
+
+        def wide(n, prec):
+            lo, hi = bounds(n, prec)
+            return lo // 2, hi * 2
+
+        def counted(n):
+            calls.append(n)
+            return r_diag(n)
+
+        monkeypatch.setattr(cnt, "_diagonal_sum_bounds", wide)
+        monkeypatch.setattr(cnt, "r_diag", counted)
+        for n in (2, 5, 100, 2000):
+            assert cnt.asymptotic_estimate(n).exact_log == math.log(r_diag(n))
+        assert calls == [2, 5, 100, 2000]
+
+    def test_past_sys_maxsize_is_refused(self):
+        with pytest.raises(InstanceTooLarge):
+            cnt.asymptotic_estimate(sys.maxsize + 1)
 
 
 class TestFibBound:
@@ -574,6 +632,13 @@ class TestKernelsAtScale:
         terms = list(islice(cnt.r_diag_terms(), 301))
         assert terms == [cnt.r_diag(n) for n in range(301)]
         assert terms == [cnt.a_diag_binomial(n) for n in range(301)]
+
+    @pytest.mark.parametrize(
+        "build, size", [(cnt.a_table, 2 * sys.maxsize), (cnt.b_table, sys.maxsize), (cnt.z_table, sys.maxsize)]
+    )
+    def test_tables_past_sys_maxsize_rows_are_refused(self, build, size):
+        with pytest.raises(InstanceTooLarge):
+            build(size)
 
     def test_only_z_value_keeps_a_memo(self):
         memoized = [name for name, f in vars(cnt).items() if hasattr(f, "cache_info")]
