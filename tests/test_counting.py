@@ -272,13 +272,15 @@ class TestAsymptotics:
         [1, 3, 2**53 - 1, 2**53 + 1, 2**60 + 2**7, 2**60 + 3 * 2**7, 2**60 + 2**7 + 1, 2**1023 + 2**970],
     )
     def test_rounded_halfway_cases_and_shifts(self, x):
-        m, e = math.frexp(float(x))  # 2**60 + 2**7 is halfway and rounds to even
+        m, e = math.frexp(float(x))
         assert cnt._rounded(x) == (m, e)
-        # shifted past a float's range the rounding is the same, and a set bit
-        # below the kept 55 (the sticky bit) decides a halfway case upwards
-        assert cnt._rounded(x << 2000) == (m, e + 2000)
-        if x == 2**60 + 2**7:
-            assert cnt._rounded((x << 2000) + 1) == (math.frexp(float(2**60 + 2**8))[0], 61 + 2000)
+        assert cnt._rounded(x << 2000) == (m, e + 2000)  # past a float's range
+
+    def test_rounded_sticky_bit_breaks_a_tie(self):
+        tie = (2**60 + 2**7) << 2000  # halfway: rounds to the even 2**60
+        assert cnt._rounded(tie) == (0.5, 61 + 2000)
+        # one set bit far below the kept 55 makes it round up
+        assert cnt._rounded(tie + 1) == (math.frexp(float(2**60 + 2**8))[0], 61 + 2000)
 
     def test_rounded_past_the_largest_double(self):
         assert cnt._rounded(2**1024 - 1) == (0.5, 1025)
