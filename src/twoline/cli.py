@@ -116,7 +116,7 @@ def _nonnegative(args, name) -> None:
 COUNTERS = {
     "a": (("k", "n"), lambda a: cnt.a_binomial(a.k, a.n)),
     "b": (("k", "n"), lambda a: cnt.b_value(a.k, a.n)),
-    "z": (("n", "k"), lambda a: cnt.z_binomial(a.n, a.k)),
+    "z": (("n", "k"), lambda a: cnt.z_value(a.n, a.k)),
     "d": (("k", "n"), lambda a: cnt.d_count(a.k, a.n)),
     "m": (("k", "n"), lambda a: cnt.m_count(a.k, a.n)),
     "s": (("n", "k"), lambda a: cnt.s_count(a.n, a.k)),

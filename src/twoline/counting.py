@@ -17,12 +17,12 @@ All values are exact Python ints.  Each recurrence is written once, as a
 generator of rows (_a_rows, _a_long_rows, _b_diagonals, _z_rows, _m_rows,
 _s_rows, _tiling_rows) that keeps only the rows the next one reads and never
 changes a row it has yielded: a table is the first rows of one, and a_long
-reads one entry of one.  Each family's single value but r(n) is one binomial
-sum stepped term by term, so its work is bounded by the smaller index:
-a_binomial, with m_count, s_count and d_count as index changes of it, b_value
-and z_binomial.  r_diag keeps the holonomic recurrence, z_value keeps a memo,
-and the sums and the brute-force signed paths never read a recurrence, on
-purpose: verify compares them with the rows.  asymptotic_estimate needs only
+reads one entry of one.  Each family's single value but r(n) is one of two
+binomial sums stepped term by term, so its work is bounded by the smaller
+index: a_binomial, with m_count, s_count, d_count, z_value and a_diag_binomial
+as index changes of it, and b_value.  r_diag keeps the holonomic recurrence.
+Nothing here keeps a memo, and the sums and the brute-force signed paths never
+read a recurrence, on purpose: verify compares them with the rows.  asymptotic_estimate needs only
 r(n) rounded to a double, and reads it from r's binomial sum in decimal,
 rounded down and up, building the exact r(n) only when that does not decide.
 Tables are immutable, so everything here can be shared freely across threads.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import count, islice
 from typing import Iterator, NamedTuple
 
@@ -153,17 +152,10 @@ def a_binomial(k: int, n: int) -> int:
 
 
 def a_diag_binomial(n: int) -> int:
-    """Diagonal closed form: sum of C(n-l, l)^2 over 0 <= l <= n//2.
-
-    Each C(n-l, l) comes from the one before by the exact ratio
-    (n-2l+2)(n-2l+1) / (l (n-l+1)).
-    """
-    total, c = 0, 1
-    for l in range(n // 2 + 1):
-        if l:
-            c = c * (n - 2 * l + 2) * (n - 2 * l + 1) // (l * (n - l + 1))
-        total += c * c
-    return total
+    """Diagonal r(n) = a(n, n) as a's binomial sum: the sum of C(n-l, l)^2 over
+    0 <= l <= n//2 is a_binomial(n, n), since C(n-l, l) = C((n+j)/2, j) with
+    j = n - 2l."""
+    return a_binomial(n, n)
 
 
 def _b_diagonals() -> Iterator[list[int]]:
@@ -234,19 +226,7 @@ def b_value(k: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def z_value(m: int, k: int) -> int:
-    """Single z(m, k) via the memoized recurrences."""
-    if k < 0 or k > m:
-        return 0
-    if m <= 1:
-        return 1
-    if m % 2 == 0:
-        return z_value(m - 1, k) + z_value(m - 2, k - 2)
-    return z_value(m - 1, k - 1) + z_value(m - 2, k)
-
-
-def z_binomial(m: int, k: int) -> int:
     """z(m, k) from a's binomial sum: z(2n, k) = a(2n-k, k), and for odd m the
     even-row rule z(m+1, k) = z(m, k) + z(m-1, k-2) gives a(m+1-k, k) - a(m+1-k, k-2)."""
     if k < 0 or k > m:
@@ -300,8 +280,10 @@ def r_diag(n: int) -> int:
 
 
 def _diagonal_sum_bounds(n: int, prec: int) -> tuple[int, int]:
-    """Integers lo <= r(n) <= hi: a_diag_binomial's ratio loop in decimal at
-    `prec` digits, once with every operation rounded down and once up.
+    """Integers lo <= r(n) <= hi: the sum of C(n-l, l)^2 over 0 <= l <= n//2,
+    each C(n-l, l) from the one before by the exact ratio
+    (n-2l+2)(n-2l+1) / (l (n-l+1)), in decimal at `prec` digits, once with
+    every operation rounded down and once up.
 
     Every quantity in the loop is positive, so each rounding moves the sum
     the same way.  Each bound is built as coefficient * 10**exponent, since

@@ -13,6 +13,7 @@ are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import NonIntegralCoefficient, NonUnitConstantTerm
@@ -100,7 +101,8 @@ def inv_sqrt_trunc(p: TruncatedSeries, order: int) -> TruncatedSeries:
     r = [0] * (order + 1)
     r[0] = 1
     for d in range(1, order + 1):
-        half = sum(r[i] * r[d - i] for i in range(1, (d + 1) // 2))
+        h = (d + 1) // 2
+        half = sum(map(mul, r[1:h], r[d - 1 : d - h : -1]))  # r_i r_{d-i} for 0 < i < d/2
         acc = q.coeffs[d] - 2 * half - (r[d // 2] ** 2 if d % 2 == 0 else 0)
         if acc % 2 != 0:
             raise NonIntegralCoefficient(

@@ -77,12 +77,6 @@ class TestCount:
                 got = counter(argparse.Namespace(**args))
                 assert got == self.ROW_COUNTERS[family](*args.values()), (family, args)
 
-    def test_count_z_leaves_the_z_memo_alone(self, capsys):
-        before = cnt.z_value.cache_info().currsize
-        want = f"{cnt.z_table(40).value(40, 13)}\n"
-        assert run(capsys, "count", "z", "--n", "40", "--k", "13") == (0, want, "")
-        assert cnt.z_value.cache_info().currsize == before
-
     def test_recursion_exhaustion_is_exit_4(self, capsys, monkeypatch):
         def deep(k, n):
             raise RecursionError("maximum recursion depth exceeded")

@@ -137,11 +137,17 @@ class TestClosedForms:
             for k in range(-1, s + 2):
                 assert cnt.b_value(k, s - k) == t.value(k, s - k)
 
-    def test_z_binomial_is_the_z_table(self):
+    def test_z_value_is_the_z_table(self):
         t = cnt.z_table(200)
         for m in range(-1, 201):
             for k in range(-2, m + 3):
-                assert cnt.z_binomial(m, k) == t.value(m, k)
+                assert cnt.z_value(m, k) == t.value(m, k)
+
+    @given(st.integers(0, 300).flatmap(lambda m: st.tuples(st.just(m), st.integers(-2, m + 2))))
+    def test_z_value_is_entry_k_of_row_m(self, mk):
+        m, k = mk
+        row = next(islice(cnt._z_rows(), m, None))
+        assert cnt.z_value(m, k) == (row[k] if 0 <= k <= m else 0)
 
 
 class TestBTable:
@@ -178,7 +184,7 @@ class TestZTable:
             for k in range(m + 1):
                 assert cnt.z_value(m, k) == t.value(m, k)
 
-    def test_rows_match_the_memoized_values(self):
+    def test_rows_match_the_single_values(self):
         rows = list(islice(cnt._z_rows(), 61))
         t = cnt.z_table(60)
         for m, row in enumerate(rows):
@@ -642,9 +648,11 @@ class TestKernelsAtScale:
         with pytest.raises(InstanceTooLarge):
             build(size)
 
-    def test_only_z_value_keeps_a_memo(self):
-        memoized = [name for name, f in vars(cnt).items() if hasattr(f, "cache_info")]
-        assert memoized == ["z_value"]
+    def test_no_function_keeps_a_memo(self):
+        assert [name for name, f in vars(cnt).items() if hasattr(f, "cache_info")] == []
+
+    def test_z_value_past_the_recursion_limit(self):
+        assert cnt.z_value(3000, 1500) == cnt.r_diag(1500)
 
     def test_fibonacci_keeps_no_module_state(self):
         def sizes():

@@ -1,5 +1,11 @@
-import pytest
+from itertools import islice
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import twoline.objects
+from twoline import cli, families
 from twoline import counting as cnt
 from twoline.errors import InstanceTooLarge, InvalidInput
 from twoline.objects import (
@@ -25,7 +31,7 @@ from twoline.objects import (
     enum_staircases,
     enum_weighted_paths,
 )
-from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO
+from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO, PartSet
 
 
 def assert_sorted_unique(objs):
@@ -600,3 +606,37 @@ class TestMutatedCorpus:
             mutated = Staircase(((h + 2, v),) + st.runs[1:])
             with pytest.raises(InvalidInput):
                 mutated.validate()
+
+
+PARSER = cli.build_parser()
+
+# family -> how its encoding is read back, where that is not type(obj).decode(text)
+DECODERS = {
+    "compositions": lambda obj, text, args: Composition.decode(text, PartSet.parse(args.set)),
+    "steppaths": lambda obj, text, args: decode_steps(text),
+}
+
+
+@pytest.mark.parametrize("family", cli.ENUMERATORS)
+@given(
+    sizes=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    index=st.integers(0, 40),
+    part_set=st.sampled_from(["s1", "s2", "s3"]),
+    mode=st.sampled_from(families.LACING_MODES),
+)
+def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index, part_set, mode):
+    """Object `index` (or the last, if there are fewer) of each `enumerate`
+    family at small sizes is valid and is what its encoding decodes to."""
+    names, call, encode = cli.ENUMERATORS[family]
+    argv = ["enumerate", family, "--set", part_set, "--mode", mode]
+    for name, size in zip(names, sizes):
+        argv += [f"--{name}", str(size)]
+    args = PARSER.parse_args(argv)
+    objs = list(islice(call(twoline.objects, args), index + 1))
+    if not objs:
+        return
+    obj = objs[-1]
+    obj.validate(*([args.mode] if isinstance(obj, Lacing) else []))
+    text = encode(obj)
+    decode = DECODERS.get(family, lambda obj, text, args: type(obj).decode(text))
+    assert decode(obj, text, args) == obj
