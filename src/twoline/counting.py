@@ -21,11 +21,12 @@ reads one entry of one.  Each family's single value but r(n) is one of two
 binomial sums stepped term by term, so its work is bounded by the smaller
 index: a_binomial, with m_count, s_count, d_count, z_value and a_diag_binomial
 as index changes of it, and b_value.  r_diag keeps the holonomic recurrence.
-Nothing here keeps a memo, and the sums and the brute-force signed paths never
-read a recurrence, on purpose: verify compares them with the rows.  asymptotic_estimate needs only
-r(n) rounded to a double, and reads it from r's binomial sum in decimal,
-rounded down and up, building the exact r(n) only when that does not decide.
-Tables are immutable, so everything here can be shared freely across threads.
+Nothing here keeps a memo, and the sums and the brute-force signed paths
+never read a recurrence, on purpose: verify compares them with the rows.
+asymptotic_estimate needs only r(n) rounded to a double, and reads it from
+r's binomial sum in decimal, rounded down and up, building the exact r(n) only
+when that does not decide.  Tables are immutable, so everything here can be
+shared freely across threads.
 """
 from __future__ import annotations
 

@@ -612,8 +612,8 @@ PARSER = cli.build_parser()
 
 # family -> how its encoding is read back, where that is not type(obj).decode(text)
 DECODERS = {
-    "compositions": lambda obj, text, args: Composition.decode(text, PartSet.parse(args.set)),
-    "steppaths": lambda obj, text, args: decode_steps(text),
+    "compositions": lambda text, args: Composition.decode(text, PartSet.parse(args.set)),
+    "steppaths": lambda text, args: decode_steps(text),
 }
 
 
@@ -638,5 +638,5 @@ def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index,
     obj = objs[-1]
     obj.validate(*([args.mode] if isinstance(obj, Lacing) else []))
     text = encode(obj)
-    decode = DECODERS.get(family, lambda obj, text, args: type(obj).decode(text))
-    assert decode(obj, text, args) == obj
+    decode = DECODERS.get(family, lambda text, args: type(obj).decode(text))
+    assert decode(text, args) == obj
