@@ -165,7 +165,7 @@ def cmd_table(args) -> int:
     elif args.format == "json":
         text = _json_rows(args.kind, rows)
     else:  # bfile
-        text = _bfile(chain.from_iterable(rows))
+        text = _bfile(rows)
     _write(text, args.out)
     return EXIT_OK
 
@@ -311,8 +311,16 @@ SEQUENCES = {
 }
 
 
-def _bfile(values) -> Iterator[str]:
-    return (f"{i} {v}\n" for i, v in enumerate(values))
+def _bfile(rows, terms: int = sys.maxsize) -> Iterator[str]:
+    """'index value' lines, offset 0, one string per row, for the first `terms`
+    entries of the rows read left to right."""
+    i = 0
+    for row in rows:
+        row = row[: terms - i]
+        yield ("%s %s\n" * len(row)) % tuple(chain.from_iterable(zip(range(i, i + len(row)), row)))
+        i += len(row)
+        if i >= terms:
+            return
 
 
 def _first_terms(row_size, terms: int) -> Iterator[tuple[int, int]]:
@@ -357,11 +365,6 @@ def _diagonal_terms(seq: str) -> Iterator:
         square *= n * n
 
 
-def _triangle_terms(seq: str) -> Iterator[int]:
-    """A079487, the fence triangle, or A125250, the staircase triangle, by rows."""
-    return chain.from_iterable(cnt._z_rows() if seq == "A079487" else cnt._b_diagonals())
-
-
 def cmd_export(args) -> int:
     if args.terms < 1:
         raise UsageError("--terms must be positive")
@@ -369,9 +372,12 @@ def cmd_export(args) -> int:
     if args.sequence in ("A051286", "A078698"):
         # drained inside the context: outside it the Decimals round to 28 digits
         with _exact_decimal():
-            _write(_bfile(islice(_diagonal_terms(args.sequence), args.terms)), args.out)
+            # a line per term: as one-term rows for _bfile they take about 4 % longer
+            terms = islice(_diagonal_terms(args.sequence), args.terms)
+            _write((f"{i} {v}\n" for i, v in enumerate(terms)), args.out)
     else:
-        _write(_bfile(islice(_triangle_terms(args.sequence), args.terms)), args.out)
+        rows = cnt._z_rows() if args.sequence == "A079487" else cnt._b_diagonals()
+        _write(_bfile(rows, args.terms), args.out)
     return EXIT_OK
 
 

@@ -125,7 +125,11 @@ class Lacing:
 
 
 def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
-    """Backtracking enumeration of valid lacings in visit-order."""
+    """Backtracking enumeration of valid lacings in visit-order.  A non-crossing
+    lacing visits each column top-down, so its sides form runs of one or two
+    holes.  It cannot cross: a later spanning segment has both rows no smaller
+    than an earlier one's, and a column segment joins adjacent rows.  `verify`
+    checks the converse by brute force."""
     if mode not in MODES:
         raise InvalidInput(f"unknown mode {mode!r}")
     if k + n > LACING_MAX_HOLES:
@@ -138,13 +142,6 @@ def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
     seq: list[Hole] = [("L", 1)]
     used = {("L", 1)}
 
-    def crosses_new(h: Hole) -> bool:
-        a = seq[-1]
-        for c, d in zip(seq, seq[1:]):
-            if segments_cross(a, h, c, d):
-                return True
-        return False
-
     def rec() -> Iterator[Lacing]:
         if len(seq) == total:
             if seq[-1] == end:
@@ -153,7 +150,7 @@ def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
         for h in holes:
             if h in used or (h == end and len(seq) != total - 1):
                 continue
-            if mode == "non_self_crossing" and crosses_new(h):
+            if mode == "non_self_crossing" and h[1] > 1 and (h[0], h[1] - 1) not in used:
                 continue
             seq.append(h)
             used.add(h)

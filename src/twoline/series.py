@@ -12,24 +12,20 @@ are safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import NonIntegralCoefficient, NonUnitConstantTerm
-from .partsets import PartSet
+
+if TYPE_CHECKING:
+    from .partsets import PartSet
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Integer power series truncated at an inclusive order: coefficients
     beyond it are semantically zero."""
 
     coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            object.__setattr__(self, "coeffs", (0,))
 
     @property
     def order(self) -> int:
@@ -47,7 +43,7 @@ class TruncatedSeries:
 
 def series(coeffs: Iterable[int]) -> TruncatedSeries:
     """Build a series from a coefficient list."""
-    return TruncatedSeries(tuple(int(c) for c in coeffs))
+    return TruncatedSeries(tuple(int(c) for c in coeffs) or (0,))
 
 
 def mul_trunc(p: TruncatedSeries, q: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -59,7 +55,7 @@ def mul_trunc(p: TruncatedSeries, q: TruncatedSeries, order: int) -> TruncatedSe
             continue
         for j in range(min(len(qa), order + 1 - i)):
             out[i + j] += pi * qa[j]
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(out) or (0,))
 
 
 def inverse_trunc(p: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -112,8 +108,7 @@ def inv_sqrt_trunc(p: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(r))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries2:
+class TruncatedSeries2(NamedTuple):
     """Bivariate integer series truncated at orders (K, N).
 
     coeffs[i][j] is the coefficient of x^i y^j.  The grid is rectangular:

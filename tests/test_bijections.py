@@ -1,8 +1,13 @@
 from collections import Counter
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import twoline
 from twoline import bijections as bij
+from twoline import cli, families
 from twoline import counting as cnt
 from twoline.errors import InvalidInput
 from twoline.objects import (
@@ -299,3 +304,48 @@ class TestStaircaseMaps:
             bij.composition_pair_to_staircase(
                 Composition((1, 1), ONE_TWO), Composition((2,), ONE_TWO)
             )
+
+
+PARSER = cli.build_parser()
+
+# object form -> the `enumerate` family that lists it
+FORM_FAMILIES = {
+    "ClosedSet": "closedsets", "Matching": "matchings", "Sum012": "s012",
+    "MotzkinPath": "motzkin", "Staircase": "staircases", "s1": "compositions",
+}
+
+
+@st.composite
+def size_pairs(draw):
+    """Two sizes up to 6, the second often equal to the first or 0: the shapes
+    of square matchings and of paths that end on level."""
+    first = draw(st.integers(0, 6))
+    return first, draw(st.sampled_from([first, 0]) | st.integers(0, 6))
+
+
+@pytest.mark.parametrize("pair", families.BIJECTIONS, ids=lambda pair: pair[0])
+@given(sizes=size_pairs(), index=st.integers(0, 60))
+@settings(max_examples=60)
+def test_every_inverse_undoes_its_map(pair, sizes, index):
+    """Object `index` (or the last) of the domain's `enumerate` family at small
+    sizes comes back from the inverse of its image, which is valid and reads
+    back from its own encoding.  Draws the map refuses (odd fences, non-square
+    matchings, paths that end off level) are discarded."""
+    _, _, domain, image, forward, inverse = pair
+    family = FORM_FAMILIES[domain]
+    names, call, _ = cli.ENUMERATORS[family]
+    argv = ["enumerate", family, "--set", "s1"]
+    for name, size in zip(names, sizes):
+        argv += [f"--{name}", str(size)]
+    objs = list(islice(call(twoline.objects, PARSER.parse_args(argv)), index + 1))
+    assume(objs)
+    obj = objs[-1]
+    try:
+        img = forward(bij, obj)
+    except InvalidInput:
+        assume(False)
+    assert inverse(bij, img) == obj
+    if hasattr(img, "validate"):
+        img.validate()
+    decode, encode = cli.CODECS[image]
+    assert decode(encode(img)) == (img[2:] if image == "segments" else img)  # k, n are flags

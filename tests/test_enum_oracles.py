@@ -9,7 +9,10 @@ than they are asked for.  `lacings_oracle` is brute force over every visit
 order, against the pruned backtracking of `enum_lacings`.  Since it validates
 through `Lacing.validate`, it shares that method's crossing test, so
 `segments_cross_reference`, a general-position segment intersection, checks
-the two-column rule of `segments_cross` on its own.
+the two-column rule of `segments_cross` on its own.  `crossing_search_lacings`
+is the search `enum_lacings` ran before it walked columns top-down, testing
+each new segment against the drawn ones; the top-down walk must yield exactly
+its lacings, in its order, at sizes past the brute force's reach.
 """
 from itertools import combinations, islice, permutations
 
@@ -17,6 +20,7 @@ import pytest
 
 from twoline.errors import InvalidInput
 from twoline.objects import (
+    LACING_MAX_HOLES,
     MODES,
     ChordConfig,
     Lacing,
@@ -29,6 +33,7 @@ from twoline.objects import (
 from twoline.objects import chords as chords_mod
 from twoline.objects import matching as matching_mod
 from twoline.objects.chords import _candidates
+from twoline.objects.lacing import _laced
 
 
 def _line_configs(size):
@@ -117,6 +122,44 @@ def lacings_oracle(k, n, mode):
     return found
 
 
+def crossing_search_lacings(k, n, mode):
+    """The backtracking search `enum_lacings` ran before it walked columns
+    top-down: in non_self_crossing mode it rejects any hole whose segment from
+    the last hole crosses a segment already drawn."""
+    if k < 1 or n < 1:
+        return []
+    end = ("R", 1) if mode == "right" else ("R", n)
+    holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
+    total = k + n
+    seq = [("L", 1)]
+    used = {("L", 1)}
+    found = []
+
+    def crosses_new(h):
+        a = seq[-1]
+        return any(segments_cross(a, h, c, d) for c, d in zip(seq, seq[1:]))
+
+    def rec():
+        if len(seq) == total:
+            if seq[-1] == end:
+                found.append(Lacing(k, n, tuple(seq)))
+            return
+        for h in holes:
+            if h in used or (h == end and len(seq) != total - 1):
+                continue
+            if mode == "non_self_crossing" and crosses_new(h):
+                continue
+            seq.append(h)
+            used.add(h)
+            if len(seq) == 2 or _laced(*seq[-3:]):
+                rec()
+            seq.pop()
+            used.remove(h)
+
+    rec()
+    return found
+
+
 def _coord(h):
     return (0 if h[0] == "L" else 1, h[1])
 
@@ -182,6 +225,13 @@ def test_chords_equal_the_oracle(n):
 def test_lacings_equal_the_brute_force(mode, total):
     for k in range(1, total):
         assert list(enum_lacings(k, total - k, mode)) == lacings_oracle(k, total - k, mode)
+
+
+@pytest.mark.parametrize("total", range(2, LACING_MAX_HOLES))  # 12 holes add 1.1 s
+def test_top_down_lacings_equal_the_crossing_search(total):
+    for k in range(1, total):
+        got = list(enum_lacings(k, total - k, "non_self_crossing"))
+        assert got == crossing_search_lacings(k, total - k, "non_self_crossing")
 
 
 def _counting(monkeypatch, module, name):

@@ -67,6 +67,13 @@ def test_suites_of_counts_load_no_objects_or_bijections(suite):
     assert [m for m in modules if m.startswith(("twoline.objects", "twoline.bijections"))] == []
 
 
+def test_a_suite_of_counts_loads_no_dataclasses():
+    code, modules = modules_after("verify", "--suite", "diagonal", "--max", "20")
+    assert code == 0
+    unused = ("dataclasses", "twoline.partsets", "twoline.objects")
+    assert [m for m in modules if m.startswith(unused)] == []
+
+
 def test_an_enumeration_loads_only_its_family():
     code, modules = modules_after("enumerate", "matchings", "--k", "2", "--n", "2")
     assert code == 0
