@@ -1,11 +1,9 @@
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import twoline
 from twoline import bijections as bij
 from twoline import cli, families
 from twoline import counting as cnt
@@ -28,6 +26,8 @@ from twoline.objects import (
     enum_weighted_paths,
 )
 from twoline.partsets import ODD, ONE_TWO
+
+from enumerated import nth_object
 
 # a 16-vertex fence with member runs of sizes 3, 3 and 2, and the
 # matching its construction produces
@@ -306,8 +306,6 @@ class TestStaircaseMaps:
             )
 
 
-PARSER = cli.build_parser()
-
 # object form -> the `enumerate` family that lists it
 FORM_FAMILIES = {
     "ClosedSet": "closedsets", "Matching": "matchings", "Sum012": "s012",
@@ -332,14 +330,8 @@ def test_every_inverse_undoes_its_map(pair, sizes, index):
     back from its own encoding.  Draws the map refuses (odd fences, non-square
     matchings, paths that end off level) are discarded."""
     _, _, domain, image, forward, inverse = pair
-    family = FORM_FAMILIES[domain]
-    names, call, _ = cli.ENUMERATORS[family]
-    argv = ["enumerate", family, "--set", "s1"]
-    for name, size in zip(names, sizes):
-        argv += [f"--{name}", str(size)]
-    objs = list(islice(call(twoline.objects, PARSER.parse_args(argv)), index + 1))
-    assume(objs)
-    obj = objs[-1]
+    obj = nth_object(FORM_FAMILIES[domain], sizes, index)
+    assume(obj is not None)
     try:
         img = forward(bij, obj)
     except InvalidInput:

@@ -122,13 +122,13 @@ def lacings_oracle(k, n, mode):
     return found
 
 
-def crossing_search_lacings(k, n, mode):
-    """The backtracking search `enum_lacings` ran before it walked columns
-    top-down: in non_self_crossing mode it rejects any hole whose segment from
-    the last hole crosses a segment already drawn."""
+def crossing_search_lacings(k, n):
+    """The backtracking search `enum_lacings` ran for non-self-crossing
+    lacings before it walked columns top-down: it rejects any hole whose
+    segment from the last hole crosses a segment already drawn."""
     if k < 1 or n < 1:
         return []
-    end = ("R", 1) if mode == "right" else ("R", n)
+    end = ("R", n)
     holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
     total = k + n
     seq = [("L", 1)]
@@ -145,9 +145,7 @@ def crossing_search_lacings(k, n, mode):
                 found.append(Lacing(k, n, tuple(seq)))
             return
         for h in holes:
-            if h in used or (h == end and len(seq) != total - 1):
-                continue
-            if mode == "non_self_crossing" and crosses_new(h):
+            if h in used or (h == end and len(seq) != total - 1) or crosses_new(h):
                 continue
             seq.append(h)
             used.add(h)
@@ -231,7 +229,7 @@ def test_lacings_equal_the_brute_force(mode, total):
 def test_top_down_lacings_equal_the_crossing_search(total):
     for k in range(1, total):
         got = list(enum_lacings(k, total - k, "non_self_crossing"))
-        assert got == crossing_search_lacings(k, total - k, "non_self_crossing")
+        assert got == crossing_search_lacings(k, total - k)
 
 
 def _counting(monkeypatch, module, name):

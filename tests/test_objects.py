@@ -1,10 +1,7 @@
-from itertools import islice
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import twoline.objects
 from twoline import cli, families
 from twoline import counting as cnt
 from twoline.errors import InstanceTooLarge, InvalidInput
@@ -32,6 +29,8 @@ from twoline.objects import (
     enum_weighted_paths,
 )
 from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO, PartSet
+
+from enumerated import nth_object
 
 
 def assert_sorted_unique(objs):
@@ -608,12 +607,10 @@ class TestMutatedCorpus:
                 mutated.validate()
 
 
-PARSER = cli.build_parser()
-
 # family -> how its encoding is read back, where that is not type(obj).decode(text)
 DECODERS = {
-    "compositions": lambda text, args: Composition.decode(text, PartSet.parse(args.set)),
-    "steppaths": lambda text, args: decode_steps(text),
+    "compositions": lambda text, part_set: Composition.decode(text, PartSet.parse(part_set)),
+    "steppaths": lambda text, part_set: decode_steps(text),
 }
 
 
@@ -627,16 +624,10 @@ DECODERS = {
 def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index, part_set, mode):
     """Object `index` (or the last, if there are fewer) of each `enumerate`
     family at small sizes is valid and is what its encoding decodes to."""
-    names, call, encode = cli.ENUMERATORS[family]
-    argv = ["enumerate", family, "--set", part_set, "--mode", mode]
-    for name, size in zip(names, sizes):
-        argv += [f"--{name}", str(size)]
-    args = PARSER.parse_args(argv)
-    objs = list(islice(call(twoline.objects, args), index + 1))
-    if not objs:
+    obj = nth_object(family, sizes, index, part_set, mode)
+    if obj is None:
         return
-    obj = objs[-1]
-    obj.validate(*([args.mode] if isinstance(obj, Lacing) else []))
-    text = encode(obj)
-    decode = DECODERS.get(family, lambda text, args: type(obj).decode(text))
-    assert decode(text, args) == obj
+    obj.validate(*([mode] if isinstance(obj, Lacing) else []))
+    text = cli.ENUMERATORS[family][2](obj)
+    decode = DECODERS.get(family, lambda text, part_set: type(obj).decode(text))
+    assert decode(text, part_set) == obj
