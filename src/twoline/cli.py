@@ -90,10 +90,6 @@ def _refuse_oversized(rows: Iterable[tuple[int, int]]) -> None:
             )
 
 
-def _encode(obj) -> str:
-    return obj.encode()
-
-
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -111,8 +107,8 @@ def _nonnegative(args, name) -> None:
 
 
 # family -> (required arguments, counter call on the parsed arguments).  The
-# count, table and enumerate calls look up `cnt` and the enumerators when they
-# run, so a substituted module is honoured.
+# count and table calls look up `cnt` when they run, so a substituted module is
+# honoured.
 COUNTERS = {
     "a": (("k", "n"), lambda a: cnt.a_binomial(a.k, a.n)),
     "b": (("k", "n"), lambda a: cnt.b_value(a.k, a.n)),
@@ -174,34 +170,8 @@ def cmd_table(args) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _compositions(o, a):
-    part_count = tuple(a.part_count) if a.part_count else None
-    return o.enum_compositions(
-        twoline.PartSet.parse(a.set or "s1"), a.n, part_count=part_count, num_parts=a.summands
-    )
-
-
-# family -> (required arguments, enumerator call, encoder).  A call gets the
-# twoline.objects package, whose attributes import only their family's module.
-ENUMERATORS = {
-    "matchings": (("k", "n"), lambda o, a: o.enum_matchings(a.k, a.n), _encode),
-    "motzkin": (("k", "n"), lambda o, a: o.enum_peakless(a.k, a.n), _encode),
-    "dominoes": (("k", "n"), lambda o, a: o.enum_domino_pairs(a.k, a.n), _encode),
-    "closedsets": (("m",), lambda o, a: o.enum_closed_sets(a.m, size_filter=a.size), _encode),
-    "s012": (("n", "k"), lambda o, a: o.enum_012(a.n, a.k), _encode),
-    "compositions": (("n",), _compositions, _encode),
-    "weighted": (("cost",), lambda o, a: o.enum_weighted_paths(a.cost), _encode),
-    "chords": (("n",), lambda o, a: o.enum_chords(a.n), _encode),
-    "lacings": (("k", "n"), lambda o, a: o.enum_lacings(a.k, a.n, a.mode), _encode),
-    "staircases": (("k", "n"), lambda o, a: o.enum_staircases(a.k, a.n), _encode),
-    "steppaths": (
-        ("k", "n"), lambda o, a: o.enum_staircases(a.k, a.n), lambda s: s.encode_steps()
-    ),
-}
-
-
 def cmd_enumerate(args) -> int:
-    names, call, encode = ENUMERATORS[args.family]
+    names, _, call, encode, _ = families.FAMILIES[args.family]
     _require(args, names)
     _nonnegative(args, "limit")
     objects = islice(call(twoline.objects, args), args.limit)
@@ -236,22 +206,18 @@ def _encode_segments(layout) -> str:
     return ";".join(",".join(f"{a}-{b}" for a, b in pairs) for pairs in layout[2:])
 
 
-# object form (see families.BIJECTIONS) -> (decoder, encoder) of its text
+# object form (see families.BIJECTIONS) -> (decoder, encoder) of its text: each
+# object type of families.FAMILIES, and the text shapes
 CODECS = {
-    "ClosedSet": (lambda t: twoline.objects.ClosedSet.decode(t), _encode),
-    "Matching": (lambda t: twoline.objects.Matching.decode(t), _encode),
-    "Sum012": (lambda t: twoline.objects.Sum012.decode(t), _encode),
-    "MotzkinPath": (lambda t: twoline.objects.MotzkinPath.decode(t), _encode),
-    "WeightedPath": (lambda t: twoline.objects.WeightedPath.decode(t), _encode),
-    "ChordConfig": (lambda t: twoline.objects.ChordConfig.decode(t), _encode),
-    "Staircase": (lambda t: twoline.objects.Staircase.decode(t), _encode),
+    **{form: (lambda t, form=form: getattr(twoline.objects, form).decode(t), families.encode)
+       for _, form, *_ in families.FAMILIES.values()},
     "segments": (_decode_segments, _encode_segments),
-    "s1": (_s1, _encode),
-    "odd": (lambda t: twoline.objects.Composition.decode(t, twoline.ODD), _encode),
+    "s1": (_s1, families.encode),
+    "odd": (lambda t: twoline.objects.Composition.decode(t, twoline.ODD), families.encode),
     "tiling": (str.strip, str),
     "s1-pair": (
         lambda t: tuple(map(_s1, _halves(t, "'horizontal;vertical' compositions"))),
-        lambda pair: ";".join(map(_encode, pair)),
+        lambda pair: ";".join(map(families.encode, pair)),
     ),
 }
 
@@ -317,7 +283,10 @@ def _bfile(rows, terms: int = sys.maxsize) -> Iterator[str]:
     i = 0
     for row in rows:
         row = row[: terms - i]
-        yield ("%s %s\n" * len(row)) % tuple(chain.from_iterable(zip(range(i, i + len(row)), row)))
+        if len(row) == 1:  # the r(n) exports: no format to build and no tuple to pack
+            yield f"{i} {row[0]}\n"
+        else:
+            yield ("%s %s\n" * len(row)) % tuple(chain.from_iterable(zip(count(i), row)))
         i += len(row)
         if i >= terms:
             return
@@ -442,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser(
         "enumerate", parents=[common], help="list objects, one encoding per line"
     )
-    pe.add_argument("family", choices=ENUMERATORS)
+    pe.add_argument("family", choices=families.FAMILIES)
     pe.add_argument("--k", type=int)
     pe.add_argument("--n", type=int)
     pe.add_argument("--m", type=int, help="fence size for closedsets")

@@ -6,8 +6,8 @@ type's sort_key, raising InstanceTooLarge beyond the documented
 feasibility cutoffs.  For matchings and chord configurations that is not
 the string order of the encodings.
 
-Each name below is imported from its module on first access (PEP 562), so
-using one family loads only that family's module.
+Each name below is imported from its module on first access (PEP 562) and
+then bound here, so using one family loads only that family's module.
 """
 _EXPORTS = {
     "chords": ("CHORDS_MAX_POINTS", "ChordConfig", "enum_chords"),
@@ -30,7 +30,8 @@ def __getattr__(name: str):
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__ rather than importlib.import_module, so -X importtime shows it
-    return getattr(__import__(f"{__name__}.{_OWNER[name]}", fromlist=[name]), name)
+    value = getattr(__import__(f"{__name__}.{_OWNER[name]}", fromlist=[name]), name)
+    return globals().setdefault(name, value)
 
 
 def __dir__():

@@ -50,7 +50,11 @@ def segments_cross(a: Hole, b: Hole, c: Hole, d: Hole) -> bool:
     column segment meets a spanning one iff the spanning segment's end in
     that column lies strictly inside the column segment's rows.
     """
-    (a, b), (c, d) = sorted((a, b)), sorted((c, d))  # L before R, then top down
+    return _sorted_segments_cross(*sorted((a, b)), *sorted((c, d)))
+
+
+def _sorted_segments_cross(a: Hole, b: Hole, c: Hole, d: Hole) -> bool:
+    """segments_cross for ends in order, a <= b and c <= d: L before R, then top down."""
     if a[0] != b[0] and c[0] != d[0]:
         return (a[1] - c[1]) * (b[1] - d[1]) < 0
     if a[0] == b[0] and c[0] == d[0]:
@@ -80,14 +84,11 @@ class Lacing:
                 return h
         return None
 
-    def segments(self) -> list[tuple[Hole, Hole]]:
-        return list(zip(self.order, self.order[1:]))
-
     def has_crossing(self) -> bool:
-        segs = self.segments()
+        segs = [sorted(seg) for seg in zip(self.order, self.order[1:])]  # ends in order, once
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
-                if segments_cross(*segs[i], *segs[j]):
+                if _sorted_segments_cross(*segs[i], *segs[j]):
                     return True
         return False
 

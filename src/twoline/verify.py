@@ -15,6 +15,8 @@ from itertools import islice, permutations
 from operator import mul
 from typing import NamedTuple
 
+import twoline  # twoline.objects imports its modules when a suite enumerates
+
 from . import counting as cnt
 from . import families
 from . import series as ser
@@ -34,7 +36,10 @@ class VerificationReport:
     def overall(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, id: str, ok: bool, detail: str) -> None:
+    def add(self, id: str, ok: bool, detail: str, witness: str | None = None) -> None:
+        """Add a check; a failing one appends `witness`, what it compared, to its detail."""
+        if not ok and witness is not None:
+            detail += f"; {witness}"
         self.checks.append(Check(id, bool(ok), detail))
 
     def extend(self, other: "VerificationReport") -> None:
@@ -58,18 +63,19 @@ def _add_identity(rep: VerificationReport, id: str, detail: str, indices, holds)
     """Add check `id`, which passes when holds(*i) for every index tuple i;
     a failing check appends the first i that breaks it."""
     bad = next((i for i in indices if not holds(*i)), None)
-    if bad is not None:
-        detail += f"; first mismatch ({', '.join(map(str, bad))})"
-    rep.add(id, bad is None, detail)
+    rep.add(id, bad is None, detail, bad and f"first mismatch ({', '.join(map(str, bad))})")
 
 
-def _pairs(max_sum: int):
-    """(k, n) for k + n <= max_sum, by antidiagonals."""
-    return ((k, s - k) for s in range(max_sum + 1) for k in range(s + 1))
+class _Arguments(dict):
+    """`enumerate`'s parsed arguments for a families.FAMILIES call: None if not given."""
+
+    __getattr__ = dict.get
 
 
-def _size(gen) -> int:
-    return sum(1 for _ in gen)
+def _listed(family: str, cell, names=None):
+    """What `enumerate family` lists at `cell`, the values of `names` (default: required)."""
+    required, _, call, _, _ = families.FAMILIES[family]
+    return call(twoline.objects, _Arguments(zip(names or required, cell)))
 
 
 def _series_inverse(denominator: dict, max_sum: int):
@@ -97,11 +103,11 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
     # check id, detail, indices, the identity at those indices
     rows = (
         ("four-way-agreement", "recurrence table, long recurrence, binomial sum and series "
-         f"extraction agree for k+n <= {max_sum}", _pairs(max_sum),
+         f"extraction agree for k+n <= {max_sum}", families.pairs(max_sum),
          lambda k, n: a(k, n) == along[k][n] == cnt.a_binomial(k, n) == gf.coeff(k, n)),
         ("signed-path-agreement", f"signed lattice-path enumeration agrees for k+n <= {signed_max}",
-         _pairs(signed_max), lambda k, n: signed[k][n] == a(k, n)),
-        ("symmetry-and-parity", "a(k,n) = a(n,k); odd k+n entries vanish", _pairs(max_sum),
+         families.pairs(signed_max), lambda k, n: signed[k][n] == a(k, n)),
+        ("symmetry-and-parity", "a(k,n) = a(n,k); odd k+n entries vanish", families.pairs(max_sum),
          lambda k, n: a(k, n) == a(n, k) and (a(k, n) == 0 or (k + n) % 2 == 0)),
         ("row-unimodality", "rows weakly increase toward their centre",
          ((r,) for r in range(half + 1)),
@@ -113,10 +119,10 @@ def suite_triangle(max_sum: int = 16) -> VerificationReport:
          lambda n, k: zt.value(2 * n, k) == along[2 * n - k][k]),
         ("sum012-identity", f"s(n,k) = z(2n,k) for 2n <= {max_sum}", fence,
          lambda n, k: sums[n][k] == zt.value(2 * n, k)),
-        ("domino-identity", f"d(k,n) = a(k,n) for k+n <= {max_sum}", _pairs(max_sum),
+        ("domino-identity", f"d(k,n) = a(k,n) for k+n <= {max_sum}", families.pairs(max_sum),
          lambda k, n: sum(map(mul, tilings[k], tilings[n])) == a(k, n)),
         ("b-series-agreement", f"b recurrence matches series extraction for k+n <= {max_sum}",
-         _pairs(max_sum), lambda k, n: bt.value(k, n) == bgf.coeff(k, n)),
+         families.pairs(max_sum), lambda k, n: bt.value(k, n) == bgf.coeff(k, n)),
         ("diagonal-b-identity", "b(n,n) = a(n,n) = r(n)", ((n,) for n in range(half + 1)),
          lambda n: bt.value(n, n) == a(n, n) == diagonal[n]),
     )
@@ -176,7 +182,8 @@ def suite_diagonal(max_n: int = 200) -> VerificationReport:
         ((n,) for n in range(amax + 1)),
         lambda n: rs[n] == table.value(n, n),
     )
-    rep.add("anchor-r5", cnt.r_diag(5) == 26, "r(5) = 26")
+    r5 = cnt.r_diag(5)
+    rep.add("anchor-r5", r5 == 26, "r(5) = 26", f"r_diag(5) gives {r5}")
     return rep
 
 
@@ -194,6 +201,7 @@ def suite_asymptotics() -> VerificationReport:
         "monotone-decay",
         all(a > b for a, b in zip(errs, errs[1:])),
         "relative error decreases over n = " + ", ".join(map(str, ns)),
+        "relative errors " + ", ".join(f"{e:.4e}" for e in errs),
     )
     scaled = [n * e for n, e in zip(ns, errs)]
     ratios = [b / a for a, b in zip(scaled, scaled[1:])]
@@ -215,7 +223,7 @@ def suite_bounds(max_sum: int = 60) -> VerificationReport:
         rep,
         "fibonacci-bound",
         f"a(k,n) <= F(k+n) for k+n <= {max_sum}",
-        _pairs(max_sum),
+        families.pairs(max_sum),
         # F(0) = 0 bounds nothing, so a(0,0) = 1 is its own base case
         lambda k, n: table.value(k, n) == 1
         if k + n == 0
@@ -227,6 +235,7 @@ def suite_bounds(max_sum: int = 60) -> VerificationReport:
         "forty-points-bound",
         a4040_t == a4040_b and a4040_t < 3**39,
         f"a(40,40) = {a4040_t} < 3^39 = {3**39} (table and binomial routes agree)",
+        f"the binomial route gives {a4040_b}",
     )
     return rep
 
@@ -249,97 +258,64 @@ def roundtrip(domain, forward, inverse) -> tuple[int, int, int, object]:
 
 def suite_bijections(max_scale: int = 12) -> VerificationReport:
     from . import bijections as bij
-    from .objects import (
-        enum_012, enum_chords, enum_closed_sets, enum_compositions, enum_matchings,
-        enum_peakless, enum_staircases,
-    )
     from .objects.compositions import Composition
     from .objects.fence import ClosedSet
     from .partsets import ONE_TWO
 
     rep = VerificationReport("bijections")
-
-    def closed_sets():
-        for m in range(0, min(max_scale, 12) + 1, 2):
-            yield from enum_closed_sets(m)
-
-    def sums():
-        for n in range(min(max_scale // 2, 6) + 1):
-            for k in range(2 * n + 1):
-                yield from enum_012(n, k)
-
-    def square_matchings():
-        for n in range(min(max_scale // 2, 5) + 1):
-            yield from enum_matchings(n, n)
-
-    nmax = min(max_scale // 2 + 2, 8)
-
-    def chord_configs():
-        for n in range(1, nmax + 1):
-            yield from enum_chords(n)
-
-    def level_paths():
-        for n in range(1, nmax + 1):
-            yield from enum_peakless(n, 0)
-
-    def matchings():
-        for s in range(min(max_scale, 12) + 1):
-            for k in range(s + 1):
-                yield from enum_matchings(k, s - k)
-
-    def s1_comps():
-        for n in range(min(max_scale, 10) + 1):
-            yield from enum_compositions(ONE_TWO, n)
-
-    def staircases():
-        for s in range(min(max_scale, 10) + 1):
-            for k in range(s + 1):
-                yield from enum_staircases(k, s - k)
-
-    # check id, the map it checks, noun, domain
+    s, nmax = max_scale, min(max_scale // 2 + 2, 8)
+    closed_sets = ("closedsets", [(m,) for m in range(0, min(s, 12) + 1, 2)])
+    s1_comps = ("compositions", [(n,) for n in range(min(s, 10) + 1)])
+    # check id, the map it checks, noun, (family, cells of its required arguments)
     rows = (
         ("closed-to-matching", "closed-to-matching", "closed sets", closed_sets),
         ("closed-to-012", "closed-to-012", "closed sets", closed_sets),
-        ("012-to-motzkin", "012-to-motzkin", "sums", sums),
-        ("matching-to-weighted", "matching-to-weighted", "matchings", square_matchings),
-        ("chords-to-motzkin", "chords-to-motzkin", "configurations", chord_configs),
-        ("motzkin-to-chords", "motzkin-to-chords", "paths", level_paths),
-        ("split-horizontals", "split-horizontals", "matchings", matchings),
+        ("012-to-motzkin", "012-to-motzkin", "sums",
+         ("s012", [(n, k) for n in range(min(s // 2, 6) + 1) for k in range(2 * n + 1)])),
+        ("matching-to-weighted", "matching-to-weighted", "matchings",
+         ("matchings", [(n, n) for n in range(min(s // 2, 5) + 1)])),
+        ("chords-to-motzkin", "chords-to-motzkin", "configurations",
+         ("chords", [(n,) for n in range(1, nmax + 1)])),
+        ("motzkin-to-chords", "motzkin-to-chords", "paths",
+         ("motzkin", [(n, 0) for n in range(1, nmax + 1)])),
+        ("split-horizontals", "split-horizontals", "matchings",
+         ("matchings", list(families.pairs(min(s, 12))))),
         ("s1-to-domino", "s1-to-domino", "compositions", s1_comps),
         ("s1-to-odd", "s1-to-s2", "compositions", s1_comps),
-        ("staircase-to-compositions", "staircase-to-compositions", "staircases", staircases),
+        ("staircase-to-compositions", "staircase-to-compositions", "staircases",
+         ("staircases", list(families.pairs(min(s, 10))))),
     )
     rebuilt = {"split-horizontals": "segment layout", "staircase-to-compositions": "run pair"}
     marked = ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
-    anchors = {  # check id -> the anchor check that follows it
+    # check id -> (the anchor check that follows it, its detail, want, got)
+    anchors = {
         "closed-to-012": (
-            "closed-to-012-anchor",
-            bij.closed_set_to_012(marked).summands == (0, 0, 2, 1, 2, 1, 0),
-            "the marked 14-vertex fence encodes as 0+0+2+1+2+1+0",
+            "closed-to-012-anchor", "the marked 14-vertex fence encodes as 0+0+2+1+2+1+0",
+            (0, 0, 2, 1, 2, 1, 0), bij.closed_set_to_012(marked).summands,
         ),
         "s1-to-odd": (
-            "s1-to-odd-anchor",
-            bij.composition_s1_to_s2(Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)).parts
-            == (1, 5, 3, 3),
-            "1+2+2+1+2+1+2 maps to 1+5+3+3",
+            "s1-to-odd-anchor", "1+2+2+1+2+1+2 maps to 1+5+3+3", (1, 5, 3, 3),
+            bij.composition_s1_to_s2(Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)).parts,
         ),
     }
     maps = {name: (fn, inverse) for name, _, _, fn, inverse in families.maps()}
-    for check_id, name, noun, domain in rows:
+    for check_id, name, noun, (family, cells) in rows:
         fn, inverse = maps[name]
+        domain = (obj for cell in cells for obj in _listed(family, cell))
         size, images, failures, witness = roundtrip(
-            domain(), lambda x: fn(bij, x), lambda y: inverse(bij, y)
+            domain, lambda x: fn(bij, x), lambda y: inverse(bij, y)
         )
         if check_id in rebuilt:
             detail = f"{size} {noun} rebuilt from their {rebuilt[check_id]}"
         else:
             detail = f"{size} {noun}, {failures} roundtrip failures"
-        ok = failures == 0 and images == size
-        if not ok:
-            detail += f"; first failure {witness!r}, domain size {size}, image size {images}"
-        rep.add(check_id, ok, detail)
+        rep.add(
+            check_id, failures == 0 and images == size, detail,
+            f"first failure {witness!r}, domain size {size}, image size {images}",
+        )
         if check_id in anchors:
-            rep.add(*anchors[check_id])
+            anchor_id, anchor, want, got = anchors[check_id]
+            rep.add(anchor_id, got == want, anchor, f"got {'+'.join(map(str, got))}")
     return rep
 
 
@@ -410,50 +386,22 @@ def suite_lacing() -> VerificationReport:
 
 
 def suite_enumeration(max_scale: int = 12) -> VerificationReport:
-    """Cardinality agreement between every enumerator and its counter."""
-    from .objects import (
-        enum_012, enum_chords, enum_closed_sets, enum_domino_pairs, enum_lacings,
-        enum_matchings, enum_peakless, enum_staircases, enum_weighted_paths,
-    )
-
+    """Cardinality agreement between every enumerator and its counter: the check
+    of each families.FAMILIES row that has one, the lacings check last."""
     rep = VerificationReport("enumeration")
     s = min(max_scale, 12)
-    small, lmax = min(s // 2 + 2, 8), min(s, 8)
-    zt, bt = cnt.z_table(s), cnt.b_table(s)
-    # check id, detail, indices, enumerator size == counter value at those indices
-    rows = (
-        ("matchings", f"matching enumeration sizes equal a(k,n) for k+n <= {s}",
-         _pairs(s), lambda k, n: _size(enum_matchings(k, n)) == cnt.a_long(k, n)),
-        ("peakless-paths", f"path enumeration sizes equal m(k,n) for k <= {min(s, 10)}",
-         ((k, n) for k in range(min(s, 10) + 1) for n in range(-k, k + 1)),
-         lambda k, n: _size(enum_peakless(k, n)) == cnt.m_count(k, n)),
-        ("domino-pairs", "tiling-pair enumeration sizes equal d(k,n)",
-         ((k, n) for k in range(small + 1) for n in range(small + 1)),
-         lambda k, n: _size(enum_domino_pairs(k, n)) == cnt.d_count(k, n)),
-        ("closed-sets", f"closed-set enumeration sizes equal z(m,k) for m <= {s}",
-         ((m, k) for m in range(s + 1) for k in range(m + 1)),
-         lambda m, k: _size(enum_closed_sets(m, size_filter=k)) == zt.value(m, k)),
-        ("sums-012", "0-1-2 sum enumeration sizes equal s(n,k)",
-         ((n, k) for n in range(small + 1) for k in range(2 * n + 1)),
-         lambda n, k: _size(enum_012(n, k)) == cnt.s_count(n, k)),
-        ("weighted-paths", "priced-path enumeration sizes equal r(cost)",
-         ((c,) for c in range(small + 1)),
-         lambda c: _size(enum_weighted_paths(c)) == cnt.r_diag(c)),
-        ("chords", "symmetric chord enumeration sizes equal a(n,n)",
-         ((n,) for n in range(1, small + 1)),
-         lambda n: _size(enum_chords(n)) == cnt.r_diag(n)),
-        ("staircases", f"staircase enumeration sizes equal b(k,n) for k+n <= {s}",
-         _pairs(s), lambda k, n: _size(enum_staircases(k, n)) == bt.value(k, n)),
-        ("lacings", f"non-crossing lacing counts equal b(k,n) for k+n <= {lmax}",
-         ((k, t - k) for t in range(2, lmax + 1) for k in range(1, t)),
-         lambda k, n: _size(enum_lacings(k, n, "non_self_crossing")) == bt.value(k, n)),
-    )
-    for check_id, detail, indices, holds in rows:
-        _add_identity(rep, check_id, detail, indices, holds)
-        if check_id == "staircases":  # step paths are the staircases in their step encoding
-            done = rep.checks[-1]
-            rep.add("step-paths", done.ok, done.detail.replace("staircase", "step-path"))
+    # the report's check order is part of its output, and lacings has come last
+    rows = sorted(families.FAMILIES.items(), key=lambda item: item[0] == "lacings")
+    for family, (*_, check) in rows:
+        if check is not None:
+            check_id, names, detail, cells, counter = check
+            _add_identity(rep, check_id, detail(s), cells(s), _counted(family, names, counter))
     return rep
+
+
+def _counted(family: str, names, counter):
+    """holds(*cell): `enumerate family` lists counter(counting, *cell) objects there."""
+    return lambda *cell: sum(1 for _ in _listed(family, cell, names)) == counter(cnt, *cell)
 
 
 def suite_all(max_scale: int = 12) -> VerificationReport:

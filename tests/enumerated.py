@@ -2,7 +2,7 @@
 from itertools import islice
 
 import twoline.objects
-from twoline import cli
+from twoline import cli, families
 
 PARSER = cli.build_parser()
 
@@ -11,7 +11,7 @@ def nth_object(family, sizes, index, part_set="s1", mode="non_self_crossing"):
     """Object `index` (or the last, if there are fewer) of the `enumerate`
     family at the given sizes, parsed from the same argv as the command line;
     None if the family is empty there."""
-    names, call, _ = cli.ENUMERATORS[family]
+    names, _, call, _, _ = families.FAMILIES[family]
     argv = ["enumerate", family, "--set", part_set, "--mode", mode]
     for name, size in zip(names, sizes):
         argv += [f"--{name}", str(size)]

@@ -12,14 +12,15 @@ _spec.loader.exec_module(bench_pairs)
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def fabricate(root, side, values, correct=True):
+def fabricate(root, side, values, correct=True, passes=3):
     """Write the result file a run of workload `w` leaves, with every metric at its
-    entry in `values` (default 1.0), and read it back as the script does."""
+    entry in `values` (default 1.0) after `passes` timed passes, and read it back
+    as the script does."""
     out = root / side / "perfbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     env = {"nproc": 2, "python": "3.11.7", "commit": f"{side}-commit", "src_sha256": f"{side}-sha", "mem_cap_bytes": 1}
     metrics = {m["name"]: {"value": values.get(m["name"], 1.0), "unit": m["unit"]} for m in BENCHMARK["end_to_end"]}
-    doc = {"info": {"workload": "w", "seed": 1, "environment": env}, "result": {"correct": correct, "metrics": metrics}}
+    doc = {"info": {"workload": "w", "seed": 1, "environment": env, "passes": passes}, "result": {"correct": correct, "metrics": metrics}}
     (out / "result-w.json").write_text(json.dumps(doc))
     return bench_pairs.read_result(str(root / side), "w")
 
@@ -32,18 +33,21 @@ def test_summary_from_fabricated_result_files(tmp_path):
     pairs = {"w": {"seeds": [1, 2, 3, 4, 5], "parent": [], "change": []}}
     for i, ((wp, wc), (rp, rc)) in enumerate(zip(walls, rates)):
         pairs["w"]["parent"].append(fabricate(tmp_path, "parent", {"wall_s": wp, "objects_per_s": rp}))
-        pairs["w"]["change"].append(fabricate(tmp_path, "change", {"wall_s": wc, "objects_per_s": rc}, correct=i != 2))
+        pairs["w"]["change"].append(
+            fabricate(tmp_path, "change", {"wall_s": wc, "objects_per_s": rc}, correct=i != 2, passes=3 + i % 2)
+        )
     doc = bench_pairs.summarize(18, "a change", None, BENCHMARK, pairs)
 
     bench_16 = json.loads((ROOT / "BENCH_16.json").read_text())
     assert doc.keys() == bench_16.keys()
     old = bench_16["workloads"]["big-values"]
-    assert doc["workloads"]["w"].keys() == old.keys()
+    assert doc["workloads"]["w"].keys() == {*old.keys(), "passes"}  # BENCH_16 predates the pass counts
     assert doc["workloads"]["w"]["metrics"].keys() == old["metrics"].keys()
     assert doc["workloads"]["w"]["metrics"]["wall_s"].keys() == old["metrics"]["wall_s"].keys()
 
     w = doc["workloads"]["w"]
     assert w["pairs"] == 5 and w["correct"] == {"parent": True, "change": False}
+    assert w["passes"] == {"parent": [3, 3, 3, 3, 3], "change": [3, 4, 3, 4, 3]}
     for name, table in (("wall_s", walls), ("objects_per_s", rates)):
         for side, runs in zip(("parent", "change"), zip(*table)):
             q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")

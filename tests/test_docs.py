@@ -1,5 +1,6 @@
-"""README names every map and every verify suite, so neither is added undocumented,
-states the output cap, and names the counter each `count` family reads."""
+"""README names every map, every verify suite and every `enumerate` family, so
+none is added undocumented, states the output cap, and names the counter each
+`count` family reads."""
 import pathlib
 import re
 
@@ -12,7 +13,7 @@ README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(e
 QUOTED = set(re.findall(r"`([^`\n]+)`", README))
 
 
-@pytest.mark.parametrize("name", [*cli.MAPS, *families.SUITES])
+@pytest.mark.parametrize("name", [*cli.MAPS, *families.SUITES, *families.FAMILIES])
 def test_readme_names_it_in_backticks(name):
     assert name in QUOTED
 

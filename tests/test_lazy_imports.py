@@ -94,12 +94,12 @@ def test_mode_choices_are_the_lacing_modes_in_order():
     assert parser_choices("enumerate", "--mode") == lacing.MODES
 
 
-@pytest.mark.parametrize("family", cli.ENUMERATORS)
+@pytest.mark.parametrize("family", families.FAMILIES)
 def test_every_enumerator_resolves(family):
     args = cli.build_parser().parse_args(
         ["enumerate", family, "--k", "2", "--n", "2", "--m", "4", "--cost", "4"]
     )
-    _, call, encode = cli.ENUMERATORS[family]
+    _, _, call, encode, _ = families.FAMILIES[family]
     found = list(call(objects, args))
     assert found and all(isinstance(encode(obj), str) for obj in found)
 

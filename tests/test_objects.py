@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twoline import cli, families
+from twoline import families
 from twoline import counting as cnt
 from twoline.errors import InstanceTooLarge, InvalidInput
 from twoline.objects import (
@@ -614,7 +614,7 @@ DECODERS = {
 }
 
 
-@pytest.mark.parametrize("family", cli.ENUMERATORS)
+@pytest.mark.parametrize("family", families.FAMILIES)
 @given(
     sizes=st.lists(st.integers(0, 5), min_size=3, max_size=3),
     index=st.integers(0, 40),
@@ -628,6 +628,6 @@ def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index,
     if obj is None:
         return
     obj.validate(*([mode] if isinstance(obj, Lacing) else []))
-    text = cli.ENUMERATORS[family][2](obj)
+    text = families.FAMILIES[family][3](obj)
     decode = DECODERS.get(family, lambda text, part_set: type(obj).decode(text))
     assert decode(text, part_set) == obj

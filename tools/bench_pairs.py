@@ -10,8 +10,9 @@ being BENCHMARK.json's run_seconds) from the root of each checkout, one run
 at a time, parent first on the 1st, 3rd, ... pair and change first on the
 others, and reads the run's `perfbench/out/result-W.json`.
 
-The summary holds, per workload, the seeds, the pair count and whether every
-run was correct; per end-to-end metric of BENCHMARK.json, its unit, direction
+The summary holds, per workload, the seeds, the pair count, whether every
+run was correct and each run's timed passes over its job list (`info.passes`,
+which moves `peak_rss_mb` when it flips); per end-to-end metric of BENCHMARK.json, its unit, direction
 and bound, each side's median, quartiles (statistics.quantiles,
 method='inclusive') and runs, the pairs the change won (strictly better in
 the metric's direction) and the relative change of the medians.  Use clean
@@ -87,6 +88,7 @@ def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict) -> dic
             "seeds": runs["seeds"],
             "pairs": len(runs["seeds"]),
             "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in SIDES},
+            "passes": {side: [r["info"]["passes"] for r in runs[side]] for side in SIDES},
             "metrics": metrics,
         }
         for side in SIDES:
