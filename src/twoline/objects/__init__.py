@@ -1,10 +1,10 @@
 """Explicit combinatorial objects and their exhaustive enumerators.
 
-Every family provides a frozen dataclass with validate()/encode()/decode()
-and an enum_* generator that yields valid objects in the order of the
-type's sort_key, raising InstanceTooLarge beyond the documented
-feasibility cutoffs.  For matchings and chord configurations that is not
-the string order of the encodings.
+Every family provides an immutable object type, a `twoline.frozen.Frozen`
+subclass, with validate()/encode()/decode(), and an enum_* generator that
+yields valid objects in the order of the type's sort_key, raising
+InstanceTooLarge beyond the documented feasibility cutoffs.  For matchings
+and chord configurations that is not the string order of the encodings.
 
 Each name below is imported from its module on first access (PEP 562) and
 then bound here, so using one family loads only that family's module.

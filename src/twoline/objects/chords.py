@@ -14,10 +14,10 @@ reaches past the adjacent sector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 CHORDS_MAX_POINTS = 12
 
@@ -39,15 +39,13 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return p == r or p == s or q == r or q == s or p < r < q < s or r < p < s < q
 
 
-@dataclass(frozen=True)
-class ChordConfig:
-    n: int
-    inner: tuple[Arc, ...]
-    cross: tuple[Arc, ...]
+class ChordConfig(Frozen):
+    __slots__ = ("n", "inner", "cross")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inner", tuple(sorted(self.inner)))
-        object.__setattr__(self, "cross", tuple(sorted(self.cross)))
+    def __init__(self, n: int, inner: tuple[Arc, ...], cross: tuple[Arc, ...]):
+        set_field(self, "n", n)
+        set_field(self, "inner", tuple(sorted(inner)))
+        set_field(self, "cross", tuple(sorted(cross)))
 
     def sort_key(self):
         return (self.inner, self.cross)

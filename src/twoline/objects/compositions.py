@@ -1,19 +1,21 @@
 """Ordered compositions with summands drawn from a fixed part set."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 from ..partsets import PartSet
 
 COMPOSITION_MAX_TOTAL = 24
 
 
-@dataclass(frozen=True)
-class Composition:
-    parts: tuple[int, ...]
-    part_set: PartSet
+class Composition(Frozen):
+    __slots__ = ("parts", "part_set")
+
+    def __init__(self, parts: tuple[int, ...], part_set: PartSet):
+        set_field(self, "parts", parts)
+        set_field(self, "part_set", part_set)
 
     @property
     def n(self) -> int:

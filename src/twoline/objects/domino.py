@@ -5,10 +5,10 @@ A tiling is a left-to-right block string: 'V' is one vertical domino
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 DOMINO_MAX_WIDTH = 20
 
@@ -17,12 +17,14 @@ def tiling_width(t: str) -> int:
     return sum(1 if c == "V" else 2 for c in t)
 
 
-@dataclass(frozen=True)
-class DominoPair:
-    k: int
-    n: int
-    left: str
-    right: str
+class DominoPair(Frozen):
+    __slots__ = ("k", "n", "left", "right")
+
+    def __init__(self, k: int, n: int, left: str, right: str):
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def sort_key(self):
         return (self.left, self.right)

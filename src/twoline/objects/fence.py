@@ -11,21 +11,20 @@ member, so the fence size is the string length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 FENCE_MAX_SIZE = 26
 
 
-@dataclass(frozen=True)
-class ClosedSet:
-    fence_size: int
-    members: frozenset[int]
+class ClosedSet(Frozen):
+    __slots__ = ("fence_size", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+    def __init__(self, fence_size: int, members: frozenset[int]):
+        set_field(self, "fence_size", fence_size)
+        set_field(self, "members", frozenset(members))
 
     @property
     def size(self) -> int:

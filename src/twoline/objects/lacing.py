@@ -19,10 +19,10 @@ geometry: it compares row indices only, and is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 from ..families import LACING_MODES as MODES
 
 LACING_MAX_HOLES = 12
@@ -65,11 +65,13 @@ def _sorted_segments_cross(a: Hole, b: Hole, c: Hole, d: Hole) -> bool:
     return a[1] < end[1] < b[1]
 
 
-@dataclass(frozen=True)
-class Lacing:
-    k: int
-    n: int
-    order: tuple[Hole, ...]
+class Lacing(Frozen):
+    __slots__ = ("k", "n", "order")
+
+    def __init__(self, k: int, n: int, order: tuple[Hole, ...]):
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "order", order)
 
     def sort_key(self):
         return tuple(_coord(h) for h in self.order)

@@ -8,10 +8,10 @@ condition for segments between two parallel lines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 MATCHING_MAX_SUM = 24
 
@@ -39,14 +39,13 @@ def _normalize(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple(sorted(norm, key=lambda pr: (point_key(pr[0]), point_key(pr[1]))))
 
 
-@dataclass(frozen=True)
-class Matching:
-    k: int
-    n: int
-    pairs: tuple[Pair, ...]
+class Matching(Frozen):
+    __slots__ = ("k", "n", "pairs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _normalize(self.pairs))
+    def __init__(self, k: int, n: int, pairs: tuple[Pair, ...]):
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "pairs", _normalize(pairs))
 
     def sort_key(self):
         return tuple((point_key(a), point_key(b)) for a, b in self.pairs)

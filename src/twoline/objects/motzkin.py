@@ -6,19 +6,21 @@ their start level -- there is no nonnegativity floor in this family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 MOTZKIN_MAX_STEPS = 22
 
 _DELTA = {"U": 1, "H": 0, "D": -1}
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
-    steps: str
+class MotzkinPath(Frozen):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: str):
+        set_field(self, "steps", steps)
 
     @property
     def endpoint(self) -> tuple[int, int]:

@@ -9,19 +9,21 @@ encoding `11-22-21`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 STAIRCASE_MAX_SUM = 28
 
 Run = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Staircase:
-    runs: tuple[Run, ...]
+class Staircase(Frozen):
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        set_field(self, "runs", runs)
 
     @property
     def k(self) -> int:

@@ -1,17 +1,19 @@
 """Ordered 0-1-2 sums in which no 2 is immediately followed by a 0."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 SUM012_MAX_TERMS = 20
 
 
-@dataclass(frozen=True)
-class Sum012:
-    summands: tuple[int, ...]
+class Sum012(Frozen):
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[int, ...]):
+        set_field(self, "summands", summands)
 
     @property
     def n(self) -> int:

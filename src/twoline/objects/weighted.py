@@ -7,19 +7,21 @@ the total price to be a whole number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
+from ..frozen import Frozen, set_field
 
 WEIGHTED_MAX_COST = 18
 
 _HALF_COST = {"C": 2, "D": 3, "L": 4, "U": 3}
 
 
-@dataclass(frozen=True)
-class WeightedPath:
-    steps: str
+class WeightedPath(Frozen):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: str):
+        set_field(self, "steps", steps)
 
     @property
     def cost(self) -> int:

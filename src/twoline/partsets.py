@@ -7,21 +7,22 @@ materialized only up to whatever bound a computation needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyPartSet
+from .frozen import Frozen, set_field
 
 _ODD = "odd"
 _GEQ2 = "geq2"
 _EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class PartSet:
+class PartSet(Frozen):
     """A set of allowed composition parts, possibly infinite."""
 
-    kind: str
-    parts: tuple[int, ...] = ()
+    __slots__ = ("kind", "parts")
+
+    def __init__(self, kind: str, parts: tuple[int, ...] = ()):
+        set_field(self, "kind", kind)
+        set_field(self, "parts", parts)
 
     @staticmethod
     def of(parts) -> "PartSet":

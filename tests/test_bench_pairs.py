@@ -30,24 +30,33 @@ def test_summary_from_fabricated_result_files(tmp_path):
     # the third pair is a tie in both, which the change does not win
     walls = [(2.0, 1.0), (1.0, 3.0), (5.0, 5.0), (4.0, 2.5), (3.0, 2.0)]
     rates = [(10.0, 20.0), (30.0, 5.0), (7.0, 7.0), (1.0, 2.0), (4.0, 3.0)]
+    # each side's timed passes and peak_rss_mb, pair by pair: a 5th pass lifts the peak
+    passes = [(5, 4), (4, 5), (4, 4), (4, 5), (5, 4)]
+    peaks = [(25.8, 23.5), (23.6, 25.9), (23.4, 23.7), (23.8, 26.1), (25.6, 23.6)]
     pairs = {"w": {"seeds": [1, 2, 3, 4, 5], "parent": [], "change": []}}
-    for i, ((wp, wc), (rp, rc)) in enumerate(zip(walls, rates)):
-        pairs["w"]["parent"].append(fabricate(tmp_path, "parent", {"wall_s": wp, "objects_per_s": rp}))
-        pairs["w"]["change"].append(
-            fabricate(tmp_path, "change", {"wall_s": wc, "objects_per_s": rc}, correct=i != 2, passes=3 + i % 2)
-        )
+    for i, ((wp, wc), (rp, rc), (sp, sc), (pp, pc)) in enumerate(zip(walls, rates, passes, peaks)):
+        parent = {"wall_s": wp, "objects_per_s": rp, "peak_rss_mb": pp}
+        pairs["w"]["parent"].append(fabricate(tmp_path, "parent", parent, passes=sp))
+        change = {"wall_s": wc, "objects_per_s": rc, "peak_rss_mb": pc}
+        pairs["w"]["change"].append(fabricate(tmp_path, "change", change, correct=i != 2, passes=sc))
     doc = bench_pairs.summarize(18, "a change", None, BENCHMARK, pairs)
 
     bench_16 = json.loads((ROOT / "BENCH_16.json").read_text())
     assert doc.keys() == bench_16.keys()
     old = bench_16["workloads"]["big-values"]
-    assert doc["workloads"]["w"].keys() == {*old.keys(), "passes"}  # BENCH_16 predates the pass counts
+    # BENCH_16 predates the pass counts
+    assert doc["workloads"]["w"].keys() == {*old.keys(), "passes", "peak_by_passes"}
     assert doc["workloads"]["w"]["metrics"].keys() == old["metrics"].keys()
     assert doc["workloads"]["w"]["metrics"]["wall_s"].keys() == old["metrics"]["wall_s"].keys()
 
     w = doc["workloads"]["w"]
     assert w["pairs"] == 5 and w["correct"] == {"parent": True, "change": False}
-    assert w["passes"] == {"parent": [3, 3, 3, 3, 3], "change": [3, 4, 3, 4, 3]}
+    assert w["passes"] == {"parent": [5, 4, 4, 4, 5], "change": [4, 5, 4, 5, 4]}
+    assert w["peak_by_passes"] == {
+        "parent": {"4": statistics.median([23.6, 23.4, 23.8]), "5": statistics.median([25.8, 25.6])},
+        "change": {"4": statistics.median([23.5, 23.7, 23.6]), "5": statistics.median([25.9, 26.1])},
+    }
+    assert list(w["peak_by_passes"]["parent"]) == ["4", "5"]  # fewest passes first
     for name, table in (("wall_s", walls), ("objects_per_s", rates)):
         for side, runs in zip(("parent", "change"), zip(*table)):
             q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")

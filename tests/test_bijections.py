@@ -306,10 +306,12 @@ class TestStaircaseMaps:
             )
 
 
-# object form -> the `enumerate` family that lists it
+# bijection domain form -> the first `enumerate` family that lists it: each
+# object type of families.FAMILIES (read in reverse, so the first family of a
+# type wins), and the one text form a domain takes
 FORM_FAMILIES = {
-    "ClosedSet": "closedsets", "Matching": "matchings", "Sum012": "s012",
-    "MotzkinPath": "motzkin", "Staircase": "staircases", "s1": "compositions",
+    **{form: family for family, (_, form, *_) in reversed(families.FAMILIES.items())},
+    "s1": "compositions",
 }
 
 

@@ -74,6 +74,24 @@ def test_a_suite_of_counts_loads_no_dataclasses():
     assert [m for m in modules if m.startswith(unused)] == []
 
 
+# every `enumerate` family at a small size, one map and the suites that build objects
+OBJECT_REQUESTS = [
+    *(("enumerate", family, "--k", "2", "--n", "2", "--m", "4", "--cost", "4")
+      for family in families.FAMILIES),
+    ("map", "closed-to-012", "00001110111000"),
+    ("verify", "--suite", "all", "--max", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", OBJECT_REQUESTS, ids=" ".join)
+def test_object_requests_load_no_dataclasses_or_inspect(argv):
+    """The object types are `twoline.frozen.Frozen` subclasses: loading one
+    imports neither `dataclasses` nor the `inspect` it would pull in."""
+    code, modules = modules_after(*argv)
+    assert code == 0
+    assert [m for m in modules if m in ("dataclasses", "inspect")] == []
+
+
 def test_an_enumeration_loads_only_its_family():
     code, modules = modules_after("enumerate", "matchings", "--k", "2", "--n", "2")
     assert code == 0

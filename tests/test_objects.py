@@ -1,3 +1,6 @@
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -631,3 +634,85 @@ def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index,
     text = families.FAMILIES[family][3](obj)
     decode = DECODERS.get(family, lambda text, part_set: type(obj).decode(text))
     assert decode(text, part_set) == obj
+
+
+
+# one object of each object type and of PartSet, and its repr.  Matching,
+# ChordConfig and ClosedSet are built from arguments they normalize (unsorted
+# pairs and arcs, a list of members); MotzkinPath and WeightedPath have equal
+# fields.
+VALUES = [
+    (Matching(2, 2, ((("L", 2), ("L", 1)), (("U", 1), ("U", 2)))),
+     "Matching(k=2, n=2, pairs=((('U', 1), ('U', 2)), (('L', 1), ('L', 2))))"),
+    (MotzkinPath("UHD"), "MotzkinPath(steps='UHD')"),
+    (DominoPair(3, 2, "VH", "VV"), "DominoPair(k=3, n=2, left='VH', right='VV')"),
+    (ClosedSet(6, [5, 1, 2]), "ClosedSet(fence_size=6, members=frozenset({1, 2, 5}))"),
+    (Sum012((1, 0, 2)), "Sum012(summands=(1, 0, 2))"),
+    (Composition((1, 3, 3), ODD), "Composition(parts=(1, 3, 3), part_set=PartSet(kind='odd', parts=()))"),
+    (WeightedPath("UHD"), "WeightedPath(steps='UHD')"),
+    (ChordConfig(10, [(5, 7), (4, 8)], [(3, 9), (1, 10)]),
+     "ChordConfig(n=10, inner=((4, 8), (5, 7)), cross=((1, 10), (3, 9)))"),
+    (Lacing(2, 2, (("L", 1), ("R", 2), ("L", 2), ("R", 1))),
+     "Lacing(k=2, n=2, order=(('L', 1), ('R', 2), ('L', 2), ('R', 1)))"),
+    (Staircase(((2, 2), (2, 1))), "Staircase(runs=((2, 2), (2, 1)))"),
+    (PartSet("explicit", (1, 2)), "PartSet(kind='explicit', parts=(1, 2))"),
+]
+VALUE_IDS = [type(obj).__name__ for obj, _ in VALUES]
+# every type above by name, and the one other name their reprs use
+NAMESPACE = {**{type(obj).__name__: type(obj) for obj, _ in VALUES}, "frozenset": frozenset}
+
+
+def test_every_object_type_has_a_value():
+    forms = {form for _, form, *_ in families.FAMILIES.values()}
+    assert forms | {"PartSet"} == set(VALUE_IDS)
+
+
+def fields_of(obj) -> dict:
+    """The object's fields by name, in constructor order."""
+    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+
+
+@pytest.mark.parametrize("obj, text", VALUES, ids=VALUE_IDS)
+class TestValueSemantics:
+    """Each type stores its fields, normalized, and is a value: its repr is
+    `Type(field=value, ...)` and builds an equal object by keyword, equal
+    objects hash equal, no field can be assigned or deleted, and pickling
+    gives the object back."""
+
+    def test_repr(self, obj, text):
+        assert repr(obj) == text
+
+    def test_the_repr_builds_an_equal_object(self, obj, text):
+        again = eval(text, NAMESPACE)
+        assert again is not obj and again == obj and hash(again) == hash(obj)
+
+    def test_objects_of_two_types_are_unequal(self, obj, text):
+        assert [other for other, _ in VALUES if other == obj] == [obj]
+        assert obj != text and obj != tuple(fields_of(obj).values())
+
+    def test_fields_cannot_be_assigned_or_deleted(self, obj, text):
+        for name in [*fields_of(obj), "other"]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert repr(obj) == text
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, obj, text, protocol):
+        again = pickle.loads(pickle.dumps(obj, protocol))
+        assert type(again) is type(obj) and again == obj and repr(again) == text
+
+
+def test_part_set_parts_default_to_none():
+    assert PartSet("odd") == PartSet("odd", ()) == ODD
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_objects_that_differ_in_a_field_are_unequal(family):
+    """Three objects of one family are unequal to each other, and each is
+    equal to its own copy, with an equal hash."""
+    objs = [nth_object(family, (5, 3, 5), i) for i in range(3)]
+    copies = [pickle.loads(pickle.dumps(obj)) for obj in objs]
+    assert [[a == b for b in copies] for a in objs] == [[i == j for j in range(3)] for i in range(3)]
+    assert len({*objs, *copies}) == 3

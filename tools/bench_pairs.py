@@ -11,11 +11,14 @@ at a time, parent first on the 1st, 3rd, ... pair and change first on the
 others, and reads the run's `perfbench/out/result-W.json`.
 
 The summary holds, per workload, the seeds, the pair count, whether every
-run was correct and each run's timed passes over its job list (`info.passes`,
-which moves `peak_rss_mb` when it flips); per end-to-end metric of BENCHMARK.json, its unit, direction
-and bound, each side's median, quartiles (statistics.quantiles,
-method='inclusive') and runs, the pairs the change won (strictly better in
-the metric's direction) and the relative change of the medians.  Use clean
+run was correct, each run's timed passes over its job list (`info.passes`,
+which moves `peak_rss_mb` when it flips) and, per side, the median
+`peak_rss_mb` of the runs at each pass count (`peak_by_passes`, which
+compares peaks at an equal pass count); per end-to-end metric of
+BENCHMARK.json, its unit, direction and bound, each side's median, quartiles
+(statistics.quantiles, method='inclusive') and runs, the pairs the change won
+(strictly better in the metric's direction) and the relative change of the
+medians.  Use clean
 copies of the two commits (`git clone`), so that each side's commit and
 `src/twoline` SHA-256 are recorded.
 """
@@ -64,6 +67,15 @@ def relative(parent: float, change: float) -> float | None:
     return round((change - parent) / parent, 4)
 
 
+def peak_by_passes(runs: list[dict]) -> dict:
+    """Pass count -> median peak_rss_mb of the runs that made that many timed
+    passes, fewest passes first."""
+    peaks = {}
+    for r in sorted(runs, key=lambda r: r["info"]["passes"]):
+        peaks.setdefault(str(r["info"]["passes"]), []).append(r["result"]["metrics"]["peak_rss_mb"]["value"])
+    return {passes: statistics.median(values) for passes, values in peaks.items()}
+
+
 def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict) -> dict:
     """BENCH_<pr>.json from BENCHMARK.json's contents and `pairs`: workload ->
     {"seeds": [...], "parent": [result, ...], "change": [result, ...]}, the
@@ -89,6 +101,7 @@ def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict) -> dic
             "pairs": len(runs["seeds"]),
             "correct": {side: all(r["result"]["correct"] for r in runs[side]) for side in SIDES},
             "passes": {side: [r["info"]["passes"] for r in runs[side]] for side in SIDES},
+            "peak_by_passes": {side: peak_by_passes(runs[side]) for side in SIDES},
             "metrics": metrics,
         }
         for side in SIDES:
