@@ -3,6 +3,21 @@
 Each map comes with its inverse, so composing the two is an executable
 identity check; families.BIJECTIONS pairs them up, and the bijections suite
 of verify runs each check over a whole enumerated domain.
+
+Each correspondence is stated once, and both directions read that one copy:
+
+- A matching is laid out as its two lines read left to right, each a string
+  of objects: 'p' a free point, 's' a segment joining two neighbouring
+  points.  The free points of the two lines join across, in order.
+  `_lay_out` lays a line out from its segments, and `_join` builds the
+  matching of two lines; every map that builds a matching goes through it.
+- A weighted path's steps are the columns of a square matching's layout
+  (`_STEP_TO_COLUMN`), a peakless path's steps are 0-1-2 summands
+  (`_DIGIT_TO_STEP`), and a domino block's width is its {1,2}-part
+  (`objects.domino.BLOCK_WIDTH`).
+
+A table read the wrong way round still gives a bijection, so round trips
+cannot catch it; known answers in the tests pin each table.
 """
 from __future__ import annotations
 
@@ -11,8 +26,9 @@ from typing import Iterable
 from .errors import InvalidInput
 from .objects.compositions import Composition
 from .objects.chords import ChordConfig
+from .objects.domino import BLOCK_WIDTH, block_widths
 from .objects.fence import ClosedSet
-from .objects.matching import Matching, Pair
+from .objects.matching import Matching
 from .objects.motzkin import MotzkinPath
 from .objects.staircase import Staircase
 from .objects.sums012 import Sum012
@@ -21,74 +37,71 @@ from .partsets import ODD, ONE_TWO
 
 
 # ---------------------------------------------------------------------------
-# closed sets <-> matchings
+# matching layouts
 # ---------------------------------------------------------------------------
 
-def _color_runs(c: ClosedSet) -> list[tuple[bool, int]]:
-    """Maximal runs of (is_member, length) along the zigzag order."""
-    runs: list[tuple[bool, int]] = []
-    for i in range(c.fence_size):
-        b = i in c.members
-        if runs and runs[-1][0] == b:
-            runs[-1] = (b, runs[-1][1] + 1)
-        else:
-            runs.append((b, 1))
-    return runs
+def _lay_out(size: int, segments: Iterable[tuple[int, int]]) -> str:
+    """One line of `size` points with these segments on it."""
+    objects = ["p"] * size
+    for a, _ in segments:
+        objects[a - 1:a + 1] = "s", ""
+    return "".join(objects)
 
+
+def _join(upper: str, lower: str) -> Matching:
+    """The matching of two lines: each segment joins its two points, and the
+    free points of the two lines join across, left to right."""
+    pairs = []
+    lines = []
+    for line, objects in (("U", upper), ("L", lower)):
+        free = []
+        i = 1
+        for obj in objects:
+            if obj == "p":
+                free.append((line, i))
+                i += 1
+            else:
+                pairs.append(((line, i), (line, i + 1)))
+                i += 2
+        lines.append((i - 1, free))
+    (k, free_u), (n, free_l) = lines
+    if len(free_u) != len(free_l):
+        raise InvalidInput("leftover points cannot be matched up")
+    pairs += zip(free_u, free_l)
+    return Matching(k, n, tuple(pairs))
+
+
+# ---------------------------------------------------------------------------
+# closed sets <-> matchings
+# ---------------------------------------------------------------------------
 
 def closed_set_to_matching(c: ClosedSet) -> Matching:
     """Arrange non-members on the upper line and members on the lower line.
 
-    Runs of equal colour become groups.  Every member group followed by a
-    non-member group donates its last point to a segment reaching the
-    first point of that group; all remaining points pair up with their
-    neighbour inside their own group.  Closedness makes the group sizes
-    work out: interior runs are odd, the two boundary runs are even.
+    Each `10` in the bit string frees its member and the non-member after
+    it, and the free points join across.  Closedness makes the bits between
+    two `10`s read 0^(2t) 1^(2b): t upper and b lower segments.
     """
     c.validate()
     if c.fence_size % 2 != 0:
         raise InvalidInput("matching construction needs an even fence")
-    runs = _color_runs(c)
-    pairs: list[Pair] = []
-    u = l = 0  # points placed so far on the upper / lower line
-    for idx, (black, size) in enumerate(runs):
-        if black:
-            start = l + 1
-            l += size
-            tail = idx + 1 < len(runs)  # followed by a white group: donate last
-            stop = l - 1 if tail else l
-            for a in range(start, stop, 2):
-                pairs.append((("L", a), ("L", a + 1)))
-            if tail:
-                pairs.append((("L", l), ("U", u + 1)))
-        else:
-            start = u + 1 if idx == 0 else u + 2  # first point taken by a segment
-            u += size
-            for a in range(start, u, 2):
-                pairs.append((("U", a), ("U", a + 1)))
-    return Matching(u, l, tuple(pairs))
+    runs = c.encode().split("10")
+    return _join(
+        "p".join(["s" * (run.count("0") // 2) for run in runs]),
+        "p".join(["s" * (run.count("1") // 2) for run in runs]),
+    )
 
 
 def matching_to_closed_set(m: Matching) -> ClosedSet:
-    """Inverse construction: read the group structure off the matching."""
+    """Inverse: the lower points are the members.  Each lower point past one
+    cross pair, up to the next one, follows every upper point left of that
+    next pair in the zigzag order."""
     m.validate()
-    crosses = m.cross_pairs()
-    ups = [u for u, _ in crosses]
-    los = [l for _, l in crosses]
-    sizes: list[tuple[bool, int]] = []
-    sizes.append((False, (ups[0] - 1) if ups else m.k))
-    for i in range(len(crosses)):
-        lo_prev = los[i - 1] if i else 0
-        sizes.append((True, los[i] - lo_prev))
-        up_next = ups[i + 1] if i + 1 < len(ups) else m.k + 1
-        sizes.append((False, up_next - ups[i]))
-    sizes.append((True, m.n - (los[-1] if los else 0)))
-    members: set[int] = set()
-    pos = 0
-    for black, size in sizes:
-        if black:
-            members.update(range(pos, pos + size))
-        pos += size
+    members: list[int] = []
+    last = 0
+    for u, l in m.cross_pairs() + [(m.k + 1, m.n)]:
+        members += range(last + u - 1, l + u - 1)  # lower point j sits at j + u - 2
+        last = l
     return ClosedSet(m.k + m.n, frozenset(members))
 
 
@@ -142,71 +155,27 @@ def motzkin_to_s012(p: MotzkinPath) -> Sum012:
 # matchings <-> weighted paths
 # ---------------------------------------------------------------------------
 
-def _line_objects(size: int, segs: list[tuple[int, int]]) -> list[bool]:
-    """Left-to-right object list for one line: True = lone (cross) point."""
-    seg_start = {a: b for a, b in segs}
-    out = []
-    i = 1
-    while i <= size:
-        if i in seg_start:
-            out.append(False)
-            i += 2
-        else:
-            out.append(True)
-            i += 1
-    return out
+# step -> the column it reads in a square matching's layout: the upper line's
+# object over the lower line's.  A free point over a segment is a rise.
+_STEP_TO_COLUMN = {"C": "pp", "L": "ss", "U": "ps", "D": "sp"}
+_COLUMN_TO_STEP = {v: k for k, v in _STEP_TO_COLUMN.items()}
 
 
 def matching_to_weighted_path(m: Matching) -> WeightedPath:
-    """Column-by-column reading of a square matching as a priced path.
-
-    Segments contract to white points, cross endpoints stay black; the
-    i-th upper object sits over the i-th lower object.  Black over black
-    is a cheap step, white over white luxury, black over white a rise,
-    white over black a fall.
-    """
+    """Column-by-column reading of a square matching as a priced path: the
+    i-th upper object sits over the i-th lower object."""
     m.validate()
     if m.k != m.n:
         raise InvalidInput("weighted-path construction needs equal line sizes")
-    top = _line_objects(m.k, m.line_pairs("U"))
-    bottom = _line_objects(m.n, m.line_pairs("L"))
-    steps = []
-    for t, b in zip(top, bottom):
-        if t and b:
-            steps.append("C")
-        elif not t and not b:
-            steps.append("L")
-        elif t:
-            steps.append("U")
-        else:
-            steps.append("D")
-    return WeightedPath("".join(steps))
+    top, bottom = _lay_out(m.k, m.line_pairs("U")), _lay_out(m.n, m.line_pairs("L"))
+    return WeightedPath("".join(_COLUMN_TO_STEP[t + b] for t, b in zip(top, bottom)))
 
 
 def weighted_path_to_matching(w: WeightedPath) -> Matching:
-    """Inverse: expand each column back into points and rejoin the blacks."""
+    """Inverse: expand each step into its column."""
     w.validate()
-    pairs: list[Pair] = []
-    free_u: list[int] = []
-    free_l: list[int] = []
-    u = l = 0
-    for step in w.steps:
-        top_black = step in ("C", "U")
-        bottom_black = step in ("C", "D")
-        if top_black:
-            u += 1
-            free_u.append(u)
-        else:
-            pairs.append((("U", u + 1), ("U", u + 2)))
-            u += 2
-        if bottom_black:
-            l += 1
-            free_l.append(l)
-        else:
-            pairs.append((("L", l + 1), ("L", l + 2)))
-            l += 2
-    pairs += [(("U", a), ("L", b)) for a, b in zip(free_u, free_l)]
-    return Matching(u, l, tuple(pairs))
+    columns = [_STEP_TO_COLUMN[step] for step in w.steps]
+    return _join("".join(c[0] for c in columns), "".join(c[1] for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +250,13 @@ def matching_from_horizontals(
     upper: Iterable[tuple[int, int]],
     lower: Iterable[tuple[int, int]],
 ) -> Matching:
-    """Rebuild the matching: leftover points rejoin left to right."""
-    pairs: list[Pair] = [(("U", a), ("U", b)) for a, b in upper]
-    pairs += [(("L", a), ("L", b)) for a, b in lower]
-    used_u = {i for pr in pairs if pr[0][0] == "U" for _, i in pr}
-    used_l = {i for pr in pairs if pr[0][0] == "L" for _, i in pr}
-    free_u = [i for i in range(1, k + 1) if i not in used_u]
-    free_l = [j for j in range(1, n + 1) if j not in used_l]
-    if len(free_u) != len(free_l):
-        raise InvalidInput("leftover points cannot be matched up")
-    pairs += [(("U", a), ("L", b)) for a, b in zip(free_u, free_l)]
-    m = Matching(k, n, tuple(pairs))
-    m.validate()
+    """Rebuild the matching: lay the segments out, and the free points join
+    left to right.  The segments come from outside, so the rebuilt matching
+    must have the given sizes and hold exactly the given segments."""
+    given = [sorted(tuple(sorted(seg)) for seg in segs) for segs in (upper, lower)]
+    m = _join(_lay_out(k, given[0]), _lay_out(n, given[1]))
+    if (m.k, m.n, m.line_pairs("U"), m.line_pairs("L")) != (k, n, *given):
+        raise InvalidInput(f"no matching of {k} and {n} points has these segments")
     return m
 
 
@@ -300,18 +264,20 @@ def matching_from_horizontals(
 # {1,2}-compositions <-> dominoes and odd compositions
 # ---------------------------------------------------------------------------
 
+_PART_TO_BLOCK = {width: block for block, width in BLOCK_WIDTH.items()}
+
+
 def composition_s1_to_domino(c: Composition) -> str:
-    """1 becomes a vertical domino, 2 a stacked horizontal pair."""
+    """Each part becomes the block of its width."""
     c.validate()
-    if any(p not in (1, 2) for p in c.parts):
-        raise InvalidInput("parts must be 1 or 2")
-    return "".join("V" if p == 1 else "H" for p in c.parts)
+    try:
+        return "".join(_PART_TO_BLOCK[p] for p in c.parts)
+    except KeyError:
+        raise InvalidInput("parts must be 1 or 2") from None
 
 
 def domino_to_composition_s1(tiling: str) -> Composition:
-    if any(ch not in "VH" for ch in tiling):
-        raise InvalidInput(f"bad tiling {tiling!r}")
-    return Composition(tuple(1 if ch == "V" else 2 for ch in tiling), ONE_TWO)
+    return Composition(block_widths(tiling), ONE_TWO)
 
 
 def composition_s1_to_s2(c: Composition) -> Composition:
@@ -343,8 +309,6 @@ def composition_s2_to_s1(c: Composition) -> Composition:
     for p in c.parts:
         flat.extend([2] * ((p - 1) // 2))
         flat.append(1)
-    if flat[-1] != 1:
-        raise InvalidInput("image does not end with a 1")
     return Composition(tuple(flat[:-1]), ONE_TWO)
 
 

@@ -13,8 +13,20 @@ from ..frozen import Frozen, set_field
 DOMINO_MAX_WIDTH = 20
 
 
+# block -> its width, in lexicographic order of the blocks, which `tilings` keeps
+BLOCK_WIDTH = {"H": 2, "V": 1}
+
+
+def block_widths(t: str) -> tuple[int, ...]:
+    """The widths of a tiling's blocks, left to right."""
+    try:
+        return tuple(BLOCK_WIDTH[c] for c in t)
+    except KeyError:
+        raise InvalidInput(f"bad tiling {t!r}") from None
+
+
 def tiling_width(t: str) -> int:
-    return sum(1 if c == "V" else 2 for c in t)
+    return sum(block_widths(t))
 
 
 class DominoPair(Frozen):
@@ -30,9 +42,6 @@ class DominoPair(Frozen):
         return (self.left, self.right)
 
     def validate(self) -> None:
-        for t in (self.left, self.right):
-            if any(c not in "VH" for c in t):
-                raise InvalidInput(f"bad tiling {t!r}")
         if tiling_width(self.left) != self.k or tiling_width(self.right) != self.n:
             raise InvalidInput("tiling widths do not match the strip sizes")
         if self.left.count("V") != self.right.count("V"):
@@ -58,13 +67,11 @@ def tilings(width: int) -> list[str]:
         if rem == 0:
             out.append("".join(buf))
             return
-        if rem >= 2:
-            buf.append("H")
-            rec(rem - 2, buf)
-            buf.pop()
-        buf.append("V")
-        rec(rem - 1, buf)
-        buf.pop()
+        for block, w in BLOCK_WIDTH.items():
+            if w <= rem:
+                buf.append(block)
+                rec(rem - w, buf)
+                buf.pop()
 
     rec(width, [])
     return out

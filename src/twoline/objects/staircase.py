@@ -25,14 +25,6 @@ class Staircase(Frozen):
     def __init__(self, runs: tuple[Run, ...]):
         set_field(self, "runs", runs)
 
-    @property
-    def k(self) -> int:
-        return sum(h for h, _ in self.runs)
-
-    @property
-    def n(self) -> int:
-        return sum(v for _, v in self.runs)
-
     def sort_key(self):
         return self.runs
 

@@ -15,14 +15,6 @@ class Sum012(Frozen):
     def __init__(self, summands: tuple[int, ...]):
         set_field(self, "summands", summands)
 
-    @property
-    def n(self) -> int:
-        return len(self.summands)
-
-    @property
-    def k(self) -> int:
-        return sum(self.summands)
-
     def sort_key(self):
         return self.summands
 

@@ -39,7 +39,16 @@ def test_summary_from_fabricated_result_files(tmp_path):
         pairs["w"]["parent"].append(fabricate(tmp_path, "parent", parent, passes=sp))
         change = {"wall_s": wc, "objects_per_s": rc, "peak_rss_mb": pc}
         pairs["w"]["change"].append(fabricate(tmp_path, "change", change, correct=i != 2, passes=sc))
-    doc = bench_pairs.summarize(18, "a change", None, BENCHMARK, pairs)
+    # fabricated checkouts: the counted files, and one beneath them that is not counted
+    for side, counted in (("parent", ["a\n", "b\nc\n"]), ("change", ["a\n", "b\n"])):
+        objects = tmp_path / side / "src" / "twoline" / "objects"
+        (objects / "deeper").mkdir(parents=True)
+        (objects.parent / "top.py").write_text(counted[0])
+        (objects / "one.py").write_text(counted[1])
+        (objects / "deeper" / "skipped.py").write_text("x\n" * 7)
+    lines = {side: bench_pairs.src_lines(str(tmp_path / side)) for side in ("parent", "change")}
+    assert lines == {"parent": 3, "change": 2}
+    doc = bench_pairs.summarize(18, "a change", None, BENCHMARK, pairs, lines)
 
     bench_16 = json.loads((ROOT / "BENCH_16.json").read_text())
     assert doc.keys() == bench_16.keys()
@@ -66,9 +75,11 @@ def test_summary_from_fabricated_result_files(tmp_path):
     assert w["metrics"]["setup_s"]["change_better_pairs"] == 0  # equal everywhere
     assert w["metrics"]["wall_s"]["bound"] == 0.24 and w["metrics"]["wall_s"]["better"] == "lower"
     assert w["metrics"]["wall_s"]["median_change"] == round((2.5 - 3.0) / 3.0, 4)
+    # BENCH_16 predates the line totals
+    assert doc["sides"]["change"].keys() == {*bench_16["sides"]["change"].keys(), "src_lines"}
     assert doc["sides"] == {
-        "parent": {"src_sha256": "parent-sha", "commit": "parent-commit"},
-        "change": {"src_sha256": "change-sha", "commit": "change-commit"},
+        "parent": {"src_sha256": "parent-sha", "commit": "parent-commit", "src_lines": 3},
+        "change": {"src_sha256": "change-sha", "commit": "change-commit", "src_lines": 2},
     }
     assert doc["command"].startswith("python3 perfbench/run.py --workload <w> --seed <s> --seconds 16 --trace 0")
     assert doc["machine"] == {"nproc": 2, "python": "3.11.7", "mem_cap_bytes": 1}

@@ -16,6 +16,7 @@ from twoline.objects import (
     MotzkinPath,
     Staircase,
     Sum012,
+    WeightedPath,
     enum_012,
     enum_chords,
     enum_closed_sets,
@@ -144,6 +145,13 @@ class TestMatchingToWeighted:
     def test_two_horizontals(self):
         m = Matching(2, 2, ((("U", 1), ("U", 2)), (("L", 1), ("L", 2))))
         assert bij.matching_to_weighted_path(m).encode() == "L"
+
+    def test_four_column_example(self):
+        # every column kind once: the column table read the wrong way round
+        # (a rise for a fall) would still round-trip, but not give this path
+        m = Matching.decode("U1-U2,U3-L5,U4-L6,U5-U6,L1-L2,L3-L4")
+        assert bij.matching_to_weighted_path(m).encode() == "LUCD"
+        assert bij.weighted_path_to_matching(WeightedPath("LUCD")) == m
 
     def test_image_is_whole_family(self):
         for n in range(6):

@@ -13,7 +13,7 @@ from operator import mul
 import pytest
 
 from twoline import bijections as bij
-from twoline import cli
+from twoline import cli, families
 from twoline import counting as cnt
 from twoline.cli import _diagonal_terms, _exact_decimal, main
 from twoline.objects import Sum012
@@ -170,6 +170,27 @@ class TestEnumerate:
         assert code == 2
 
 
+# map name -> the form of text it reads (see families.BIJECTIONS)
+MAP_DOMAINS = {name: domain for name, domain, *_ in families.maps()}
+
+# form -> malformed texts of that form, each refused by the form's decoder or
+# by the map's own check
+MALFORMED = {
+    "ClosedSet": ("1+x",),
+    "Matching": ("U1-X2", "U1L1"),
+    "Sum012": ("1+x",),
+    "MotzkinPath": ("UXD",),
+    "WeightedPath": ("CXL",),
+    "ChordConfig": ("4:1-3",),
+    "segments": ("a-b;", "1-2"),
+    "s1": ("1+x",),
+    "tiling": ("VXH",),
+    "odd": ("",),
+    "s1-pair": ("1+b;1",),
+    "Staircase": ("H1,X1", "H1"),
+}
+
+
 class TestMap:
     def test_closed_to_012_anchor(self, capsys):
         code, out, _ = run(capsys, "map", "closed-to-012", "00001110111000")
@@ -223,6 +244,17 @@ class TestMap:
         assert code == 2 and out == "" and len(lines) == 1
         assert repr(token) in lines[0]
         assert "unpack" not in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [(name, text) for name in cli.MAPS for text in MALFORMED[MAP_DOMAINS[name]]],
+    )
+    def test_malformed_text_to_every_map_is_refused_in_one_line(self, capsys, name, text):
+        sizes = ("--k", "3", "--n", "3") if name == "join-horizontals" else ()
+        code, out, err = run(capsys, "map", name, text, *sizes)
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert lines[0].startswith("twoline: ")
 
 
 class TestVerify:
@@ -528,7 +560,7 @@ def test_fib_digits_bounds_the_digits_of_fibonacci():
 # run cli.main on the arguments, then print the process's own peak RSS in KiB
 PEAK_PROBE = """
 import sys
-from twoline import cli
+from twoline import cli, families
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 with open("/proc/self/status") as fh:

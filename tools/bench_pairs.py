@@ -18,13 +18,15 @@ compares peaks at an equal pass count); per end-to-end metric of
 BENCHMARK.json, its unit, direction and bound, each side's median, quartiles
 (statistics.quantiles, method='inclusive') and runs, the pairs the change won
 (strictly better in the metric's direction) and the relative change of the
-medians.  Use clean
+medians.  Each side also records its `src/twoline` line total
+(`src_lines`), over the files CI's line-count step counts.  Use clean
 copies of the two commits (`git clone`), so that each side's commit and
 `src/twoline` SHA-256 are recorded.
 """
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -49,6 +51,17 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     subprocess.run(argv + ["--seconds", str(seconds), "--trace", "0"], cwd=root, check=True, stdout=subprocess.DEVNULL)
     return read_result(root, workload)
+
+
+def src_lines(root: str) -> int:
+    """Lines of src/twoline/*.py and src/twoline/objects/*.py under `root`, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "twoline", "*.py")) + glob.glob(
+        os.path.join(root, "src", "twoline", "objects", "*.py")
+    ):
+        with open(path, encoding="utf-8") as fh:
+            total += fh.read().count("\n")
+    return total
 
 
 def spread(runs: list[float]) -> dict:
@@ -76,10 +89,10 @@ def peak_by_passes(runs: list[dict]) -> dict:
     return {passes: statistics.median(values) for passes, values in peaks.items()}
 
 
-def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict) -> dict:
-    """BENCH_<pr>.json from BENCHMARK.json's contents and `pairs`: workload ->
+def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict, lines: dict) -> dict:
+    """BENCH_<pr>.json from BENCHMARK.json's contents, `pairs`: workload ->
     {"seeds": [...], "parent": [result, ...], "change": [result, ...]}, the
-    results in seed order."""
+    results in seed order, and `lines`: side -> its `src_lines`."""
     workloads, env = {}, {}
     for workload, runs in pairs.items():
         metrics = {}
@@ -113,7 +126,10 @@ def summarize(pr: int, title: str, claimed, benchmark: dict, pairs: dict) -> dic
         " --trace 0, run from the root of a clean copy of each commit",
         "method": METHOD,
         "claimed": claimed,
-        "sides": {side: {"src_sha256": env[side]["src_sha256"], "commit": env[side]["commit"]} for side in SIDES},
+        "sides": {
+            side: {"src_sha256": env[side]["src_sha256"], "commit": env[side]["commit"], "src_lines": lines[side]}
+            for side in SIDES
+        },
         "workloads": workloads,
         "machine": {key: env["change"][key] for key in ("nproc", "python", "mem_cap_bytes")},
     }
@@ -143,7 +159,8 @@ def main(argv=None) -> int:
         pairs[workload] = runs
     claimed = {"workload": args.claim[0], "metric": args.claim[1]} if args.claim else None
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(summarize(args.pr, args.title, claimed, benchmark, pairs), fh, indent=1)
+        lines = {side: src_lines(roots[side]) for side in SIDES}
+        json.dump(summarize(args.pr, args.title, claimed, benchmark, pairs, lines), fh, indent=1)
         fh.write("\n")
     return 0
 
