@@ -41,10 +41,10 @@ from .partsets import ODD, ONE_TWO
 # ---------------------------------------------------------------------------
 
 def _lay_out(size: int, segments: Iterable[tuple[int, int]]) -> str:
-    """One line of `size` points with these segments on it."""
+    """One line of `size` points with these sorted segments on it."""
     objects = ["p"] * size
     for a, _ in segments:
-        objects[a - 1:a + 1] = "s", ""
+        objects[a - 1:a + 1] = "s", ""  # one object for two points, so indices stay put
     return "".join(objects)
 
 
