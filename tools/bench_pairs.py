@@ -56,11 +56,10 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
 def src_lines(root: str) -> int:
     """Lines of src/twoline/*.py and src/twoline/objects/*.py under `root`, as `wc -l` counts them."""
     total = 0
-    for path in glob.glob(os.path.join(root, "src", "twoline", "*.py")) + glob.glob(
-        os.path.join(root, "src", "twoline", "objects", "*.py")
-    ):
-        with open(path, encoding="utf-8") as fh:
-            total += fh.read().count("\n")
+    for package in ("twoline", os.path.join("twoline", "objects")):
+        for path in glob.glob(os.path.join(root, "src", package, "*.py")):
+            with open(path, encoding="utf-8") as fh:
+                total += fh.read().count("\n")
     return total
 
 
