@@ -350,8 +350,9 @@ def _m_rows() -> Iterator[list[int]]:
         m(k, n) = m(k-1, n-1) + m(k-1, n) + m(k-1, n+1) - m(k-2, n).
 
     The body is _a_rows' under the index change m(k, n) = a(k-n, k+n).  It
-    stays separate on purpose: read from _a_rows, m would be the a table, and
-    peakless-index-identity would compare the a table with itself.
+    stays separate on purpose: peakless-index-identity compares these rows
+    with the long recurrence; read from _a_rows, it would only repeat
+    four-way-agreement's a table check, and no check would test an m recurrence.
     """
     older, row = [], [1]  # steps -1 and 0
     while True:

@@ -51,6 +51,8 @@ class ChordConfig(Frozen):
         return (self.inner, self.cross)
 
     def validate(self) -> None:
+        if self.n < 0:
+            raise InvalidInput("negative point count")
         used: set[int] = set()
         for i, j in self.inner:
             if not (1 <= i <= self.n and 1 <= j <= self.n):

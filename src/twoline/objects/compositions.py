@@ -63,21 +63,17 @@ def enum_compositions(
         return
     members = part_set.members_up_to(n)
 
-    buf: list[int] = []
-
-    def rec(rem: int) -> Iterator[Composition]:
+    def rec(parts: tuple[int, ...], rem: int) -> Iterator[Composition]:
         if rem == 0:
-            if part_count is not None and buf.count(part_count[0]) != part_count[1]:
+            if part_count is not None and parts.count(part_count[0]) != part_count[1]:
                 return
-            if num_parts is not None and len(buf) != num_parts:
+            if num_parts is not None and len(parts) != num_parts:
                 return
-            yield Composition(tuple(buf), part_set)
+            yield Composition(parts, part_set)
             return
         for p in members:
             if p > rem:
                 break
-            buf.append(p)
-            yield from rec(rem - p)
-            buf.pop()
+            yield from rec(parts + (p,), rem - p)
 
-    yield from rec(n)
+    yield from rec((), n)

@@ -61,20 +61,15 @@ class DominoPair(Frozen):
 
 def tilings(width: int) -> list[str]:
     """All block strings of the given width, in lexicographic order."""
-    out: list[str] = []
-
-    def rec(rem: int, buf: list[str]) -> None:
+    def rec(blocks: str, rem: int) -> Iterator[str]:
         if rem == 0:
-            out.append("".join(buf))
+            yield blocks
             return
         for block, w in BLOCK_WIDTH.items():
             if w <= rem:
-                buf.append(block)
-                rec(rem - w, buf)
-                buf.pop()
+                yield from rec(blocks + block, rem - w)
 
-    rec(width, [])
-    return out
+    return list(rec("", width))
 
 
 def enum_domino_pairs(k: int, n: int) -> Iterator[DominoPair]:

@@ -62,29 +62,25 @@ class ClosedSet(Frozen):
 def enum_closed_sets(m: int, size_filter: int | None = None) -> Iterator[ClosedSet]:
     """All closed sets of the fence on m vertices, in bit-string order.
 
-    With size_filter set, only sets of that cardinality are yielded (the
-    search still walks the whole tree; closed sets are sparse enough that
-    this costs little).
+    With size_filter set, only sets of that cardinality are yielded: a
+    prefix is cut once it holds more members, or once the positions left
+    cannot bring it up to that many.
     """
     if m > FENCE_MAX_SIZE:
         raise InstanceTooLarge(f"fence enumeration capped at m <= {FENCE_MAX_SIZE}")
     if m < 0:
         return
 
-    chosen: list[bool] = []
-
-    def rec(pos: int, count: int) -> Iterator[ClosedSet]:
-        if pos == m:
-            if size_filter is None or count == size_filter:
-                yield ClosedSet(m, frozenset(i for i, b in enumerate(chosen) if b))
+    def rec(pos: int, members: tuple[int, ...]) -> Iterator[ClosedSet]:
+        if size_filter is not None and not 0 <= size_filter - len(members) <= m - pos:
             return
-        for take in (False, True):
-            if take and pos % 2 == 1 and not chosen[pos - 1]:
-                continue  # upper needs its left lower neighbour in
-            if not take and pos % 2 == 0 and pos >= 1 and chosen[pos - 1]:
-                continue  # upper member at pos-1 forces this lower vertex in
-            chosen.append(take)
-            yield from rec(pos + 1, count + (1 if take else 0))
-            chosen.pop()
+        if pos == m:
+            yield ClosedSet(m, frozenset(members))
+            return
+        left_in = members[-1:] == (pos - 1,)
+        if pos % 2 == 1 or not left_in:  # an upper member at pos-1 forces this lower vertex in
+            yield from rec(pos + 1, members)
+        if pos % 2 == 0 or left_in:  # an upper vertex needs its left lower neighbour in
+            yield from rec(pos + 1, members + (pos,))
 
-    yield from rec(0, 0)
+    yield from rec(0, ())

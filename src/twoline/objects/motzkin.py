@@ -51,22 +51,14 @@ def enum_peakless(k: int, n_end: int) -> Iterator[MotzkinPath]:
     if k < 0 or abs(n_end) > k:
         return
 
-    buf: list[str] = []
-
-    def rec(i: int, h: int) -> Iterator[MotzkinPath]:
-        if i == k:
-            if h == n_end:
-                yield MotzkinPath("".join(buf))
+    def rec(steps: str, h: int) -> Iterator[MotzkinPath]:
+        remaining = k - len(steps)
+        if remaining == 0:  # the height test below lets only paths ending at n_end get here
+            yield MotzkinPath(steps)
             return
-        remaining = k - i
-        for step in ("D", "H", "U"):
-            if step == "D" and buf and buf[-1] == "U":
-                continue
+        for step in "HU" if steps.endswith("U") else "DHU":
             nh = h + _DELTA[step]
-            if abs(n_end - nh) > remaining - 1:
-                continue
-            buf.append(step)
-            yield from rec(i + 1, nh)
-            buf.pop()
+            if abs(n_end - nh) < remaining:
+                yield from rec(steps + step, nh)
 
-    yield from rec(0, 0)
+    yield from rec("", 0)

@@ -65,11 +65,9 @@ def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
     if k < 0 or n < 0:
         return
 
-    buf: list[Run] = []
-
-    def rec(rk: int, rn: int) -> Iterator[Staircase]:
+    def rec(runs: tuple[Run, ...], rk: int, rn: int) -> Iterator[Staircase]:
         if rk == 0 and rn == 0:
-            yield Staircase(tuple(buf))
+            yield Staircase(runs)
             return
         for h in (1, 2):
             if h > rk:
@@ -77,11 +75,9 @@ def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
             for v in (1, 2):
                 if v > rn:
                     break
-                buf.append((h, v))
-                yield from rec(rk - h, rn - v)
-                buf.pop()
+                yield from rec(runs + ((h, v),), rk - h, rn - v)
 
-    yield from rec(k, n)
+    yield from rec((), k, n)
 
 
 # Step paths are staircases (see the module docstring) under their own name.

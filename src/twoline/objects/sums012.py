@@ -47,22 +47,14 @@ def enum_012(n: int, k: int) -> Iterator[Sum012]:
     if n < 0 or k < 0 or k > 2 * n:
         return
 
-    buf: list[int] = []
-
-    def rec(i: int, total: int) -> Iterator[Sum012]:
-        if i == n:
-            if total == k:
-                yield Sum012(tuple(buf))
+    def rec(summands: tuple[int, ...], need: int) -> Iterator[Sum012]:
+        """Sums extending `summands` whose later summands add up to `need`."""
+        rem = n - len(summands)
+        if rem == 0:  # the test below lets only sums reaching k get here
+            yield Sum012(summands)
             return
-        rem = n - i - 1
-        for d in (0, 1, 2):
-            if d == 0 and buf and buf[-1] == 2:
-                continue
-            t = total + d
-            if t > k or t + 2 * rem < k:
-                continue
-            buf.append(d)
-            yield from rec(i + 1, t)
-            buf.pop()
+        for d in (1, 2) if summands and summands[-1] == 2 else (0, 1, 2):
+            if 0 <= need - d <= 2 * (rem - 1):
+                yield from rec(summands + (d,), need - d)
 
-    yield from rec(0, 0)
+    yield from rec((), k)

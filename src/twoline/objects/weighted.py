@@ -57,24 +57,18 @@ def enum_weighted_paths(cost: int) -> Iterator[WeightedPath]:
     if cost < 0:
         return
 
-    buf: list[str] = []
-
     def viable(rem: int, h: int) -> bool:
         slack = rem - 3 * abs(h)
         return slack >= 0 and slack % 2 == 0
 
-    def rec(rem: int, h: int) -> Iterator[WeightedPath]:
-        if rem == 0:
-            if h == 0:
-                yield WeightedPath("".join(buf))
+    def rec(steps: str, rem: int, h: int) -> Iterator[WeightedPath]:
+        if rem == 0:  # viable() lets only level paths spend the whole budget
+            yield WeightedPath(steps)
             return
         for step in ("C", "D", "L", "U"):
             nh = h + (1 if step == "U" else -1 if step == "D" else 0)
             nrem = rem - _HALF_COST[step]
-            if nrem < 0 or not viable(nrem, nh):
-                continue
-            buf.append(step)
-            yield from rec(nrem, nh)
-            buf.pop()
+            if viable(nrem, nh):
+                yield from rec(steps + step, nrem, nh)
 
-    yield from rec(2 * cost, 0)
+    yield from rec("", 2 * cost, 0)

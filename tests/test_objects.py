@@ -362,6 +362,11 @@ class TestChords:
     def test_nested_cross_arcs_valid(self):
         ChordConfig(4, (), ((1, 4), (2, 3))).validate()
 
+    def test_rejects_negative_point_count(self):
+        with pytest.raises(InvalidInput, match="negative point count"):
+            ChordConfig(-3, (), ()).validate()
+        ChordConfig(0, (), ()).validate()  # the empty configuration, image of the empty path
+
 
 class TestLacings:
     def test_noncrossing_three(self):
