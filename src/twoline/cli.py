@@ -10,6 +10,7 @@ arguments, and written by _write in batches as it is computed.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from contextlib import nullcontext
@@ -485,5 +486,16 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def entry() -> None:
+    """The process entry of `python -m twoline.cli` and the `twoline` script:
+    main's status as the exit status.  Whatever main leaves, or argparse's exit,
+    is frozen first, so the interpreter's closing collections skip it; reference
+    counting still frees it."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

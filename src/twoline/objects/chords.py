@@ -39,6 +39,24 @@ def _conflict(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return p == r or p == s or q == r or q == s or p < r < q < s or r < p < s < q
 
 
+def _crossing(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Two of the cover intervals in conflict, or None, in one pass after a sort.
+
+    Intervals without a conflict nest or are disjoint, like brackets.  Taken by
+    their left ends, each is tested against the innermost interval still open
+    there: that one ends first among the open ones, so an interval that clears
+    it clears them all, and the intervals closed before it are disjoint from it.
+    """
+    open_: list[tuple[int, int]] = []
+    for iv in sorted(spans):
+        while open_ and open_[-1][1] < iv[0]:
+            open_.pop()
+        if open_ and _conflict(open_[-1], iv):
+            return open_[-1], iv
+        open_.append(iv)
+    return None
+
+
 class ChordConfig(Frozen):
     __slots__ = ("n", "inner", "cross")
 
@@ -78,12 +96,9 @@ class ChordConfig(Frozen):
             for arc in arcs
             for iv in _cover_intervals(arc, kind, self.n)
         ]
-        for a in range(len(spans)):
-            for b in range(a + 1, len(spans)):
-                if _conflict(spans[a], spans[b]):
-                    raise InvalidInput(
-                        f"chords {spans[a]} and {spans[b]} cross on the cover"
-                    )
+        pair = _crossing(spans)
+        if pair is not None:
+            raise InvalidInput(f"chords {pair[0]} and {pair[1]} cross on the cover")
 
     def encode(self) -> str:
         fmt = lambda arcs: ",".join(f"{i}-{j}" for i, j in arcs)

@@ -55,7 +55,9 @@ def enum_compositions(
     """All part_set-compositions of n, optionally filtered.
 
     part_count = (p, c) keeps compositions containing part p exactly c
-    times; num_parts = c keeps those with exactly c summands.
+    times; num_parts = c keeps those with exactly c summands.  A filtered
+    walk cuts a prefix once it holds too many parts or too many copies of p,
+    or once what is left of n cannot take the parts or the copies still due.
     """
     if n > COMPOSITION_MAX_TOTAL:
         raise InstanceTooLarge(f"compositions capped at n <= {COMPOSITION_MAX_TOTAL}")
@@ -65,10 +67,6 @@ def enum_compositions(
 
     def rec(parts: tuple[int, ...], rem: int) -> Iterator[Composition]:
         if rem == 0:
-            if part_count is not None and parts.count(part_count[0]) != part_count[1]:
-                return
-            if num_parts is not None and len(parts) != num_parts:
-                return
             yield Composition(parts, part_set)
             return
         for p in members:
@@ -76,4 +74,29 @@ def enum_compositions(
                 break
             yield from rec(parts + (p,), rem - p)
 
-    yield from rec((), n)
+    if part_count is None and num_parts is None:
+        yield from rec((), n)
+        return
+    p, copies = part_count if part_count is not None else (0, 0)  # no part is 0
+    if copies > 0 and p not in part_set:
+        return
+    # with no part up to n, (1, 1) asks rem = left, which only the empty composition meets
+    smallest, largest = (members[0], members[-1]) if members else (1, 1)
+
+    def cut(parts: tuple[int, ...], rem: int, copies: int) -> Iterator[Composition]:
+        """rec, with `copies` copies of p still to place."""
+        if copies < 0 or copies * p > rem:
+            return
+        if num_parts is not None:
+            left = num_parts - len(parts)
+            if not left * smallest <= rem <= left * largest:
+                return
+        if rem == 0:
+            yield Composition(parts, part_set)
+            return
+        for q in members:
+            if q > rem:
+                break
+            yield from cut(parts + (q,), rem - q, copies - (q == p))
+
+    yield from cut((), n, copies)

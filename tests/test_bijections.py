@@ -1,3 +1,6 @@
+import functools
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -351,3 +354,72 @@ def test_every_inverse_undoes_its_map(pair, sizes, index):
         img.validate()
     decode, encode = cli.CODECS[image]
     assert decode(encode(img)) == (img[2:] if image == "segments" else img)  # k, n are flags
+
+
+# ---------------------------------------------------------------------------
+# growth: every map runs in time about linear in its input
+# ---------------------------------------------------------------------------
+
+def _tokens(rng, choices, size):
+    """Random tokens joined until the text holds at least `size` characters."""
+    text = ""
+    while len(text) < size:
+        text += rng.choice(choices)
+    return text
+
+
+@functools.cache
+def large_objects(size):
+    """One object of each bijection domain form, about `size` steps, parts,
+    runs or points long.  The peakless path returns to its level and mixes
+    inner and cross arcs; the weighted path gives a square matching."""
+    rng = random.Random(size)
+    path = MotzkinPath(_tokens(rng, ("H", "UHD", "UUHDD", "DHUH"), size))
+    s012 = bij.motzkin_to_s012(path)
+    weighted = WeightedPath(_tokens(rng, ("C", "L", "UD", "DU"), size))
+    matching = bij.weighted_path_to_matching(weighted)
+    s1 = Composition(tuple(rng.choice((1, 2)) for _ in range(size)), ONE_TWO)
+    staircase = Staircase(tuple((rng.choice((1, 2)), rng.choice((1, 2))) for _ in range(size)))
+    return {
+        "MotzkinPath": path,
+        "Sum012": s012,
+        "ClosedSet": bij.sum012_to_closed_set(s012),
+        "ChordConfig": bij.motzkin_to_chords(path),
+        "WeightedPath": weighted,
+        "Matching": matching,
+        "segments": (matching.k, matching.n, *bij.matching_split_horizontals(matching)),
+        "s1": s1,
+        "tiling": bij.composition_s1_to_domino(s1),
+        "odd": bij.composition_s1_to_s2(s1),
+        "Staircase": staircase,
+        "s1-pair": bij.staircase_to_composition_pair(staircase),
+    }
+
+
+def map_seconds(name, domain, fn, size):
+    """One run of `map name` on the size-`size` object, as the CLI runs it:
+    decode the object's text, map it, encode the image."""
+    obj = large_objects(size)[domain]
+    decode, _, encode = cli.MAPS[name]
+    text = cli.CODECS[domain][1](obj)
+    start = time.perf_counter()
+    parsed = (*obj[:2], *decode(text)) if domain == "segments" else decode(text)
+    encode(fn(bij, parsed))
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name, domain, fn", [m[:2] + m[3:4] for m in families.maps()],
+                         ids=[m[0] for m in families.maps()])
+def test_every_map_grows_about_linearly(name, domain, fn):
+    """A 4 times larger input takes at most 8 times as long, where a quadratic
+    map takes about 16 times.  The small size is timed by its best of three
+    runs; the large one passes on its first run within the bound, so that one
+    slow run on a busy host does not fail it."""
+    small, large = 2000, 8000
+    best = min(map_seconds(name, domain, fn, small) for _ in range(3))
+    ratios = []
+    for _ in range(3):
+        ratios.append(map_seconds(name, domain, fn, large) / best)
+        if ratios[-1] <= 8:
+            return
+    pytest.fail(f"{name}: {large} / {small} input took {min(ratios):.1f} times as long")

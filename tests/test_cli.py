@@ -1,9 +1,11 @@
 import argparse
 import decimal
+import gc
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -481,6 +483,74 @@ def test_no_traceback_in_a_real_process(argv, code, value, no_digit_limit):
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     else:
         assert proc.stdout == f"{value()}\n"
+
+
+# runs twoline.cli as `python -m twoline.cli` does, after `prelude`, and last
+# prints the freeze count of the garbage collector as the process exits
+ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+{prelude}
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("twoline.cli", run_name="__main__", alter_sys=True)
+"""
+ZERO_M_COUNT = "import twoline.counting; twoline.counting.m_count = lambda k, n: 0"
+
+
+def through_the_entry(argv, prelude=""):
+    """(exit status, stdout, stderr lines, freeze count at exit) of a real process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE.format(prelude=prelude), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    *err, frozen = proc.stderr.splitlines()
+    assert frozen.startswith("frozen "), proc.stderr
+    return proc.returncode, proc.stdout, err, int(frozen.split()[1])
+
+
+@pytest.mark.parametrize(
+    "argv, prelude, code",
+    [
+        ("count a --k 2 --n 4", "", 0),
+        ("verify --suite enumeration --max 3 --format text", ZERO_M_COUNT, 1),
+        ("count a --k 2", "", 2),  # refused by main
+        ("count q", "", 2),  # refused by argparse, which exits before main returns
+        ("table a --max 2000", "", 4),
+    ],
+    ids=["ok", "failed-check", "usage-error", "argparse-refusal", "too-large"],
+)
+def test_a_process_exits_through_the_entry_as_main_returns(capsys, monkeypatch, argv, prelude, code):
+    """The entry freezes the heap, and the status and output are main's."""
+    status, out, err, frozen = through_the_entry(argv.split(), prelude)
+    assert frozen > 0
+    if prelude:
+        monkeypatch.setattr(cnt, "m_count", lambda k, n: 0)
+    try:
+        expected = main(argv.split())
+    except SystemExit as exc:
+        expected = exc.code
+    captured = capsys.readouterr()
+    assert status == expected == code
+    assert (out, err) == (captured.out, captured.err.splitlines())
+
+
+def test_an_out_file_through_the_entry_equals_mains(capsys, tmp_path):
+    argv = ["table", "z", "--max", "40", "--format", "json", "--out"]
+    assert through_the_entry([*argv, str(tmp_path / "entry.json")])[:3] == (0, "", [])
+    assert run(capsys, *argv, str(tmp_path / "main.json")) == (0, "", "")
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["count", "a", "--k", "2", "--n", "4"], ["table", "a", "--max", "-1"]):
+        main(argv)
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_entry():
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^twoline = "(\S+)"$', text, re.M).group(1) == "twoline.cli:entry"
 
 
 class TestStreaming:

@@ -1,5 +1,7 @@
 import inspect
 import pickle
+import re
+import time
 
 import pytest
 from hypothesis import given
@@ -31,6 +33,7 @@ from twoline.objects import (
     enum_staircases,
     enum_weighted_paths,
 )
+from twoline.objects.chords import _conflict, _crossing
 from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO, PartSet
 
 from enumerated import nth_object
@@ -277,6 +280,35 @@ class TestCompositions:
         with pytest.raises(InvalidInput):
             Composition((1, 4), ONE_TWO).validate()
 
+    @pytest.mark.parametrize("parts", [ONE_TWO, ODD, AT_LEAST_TWO], ids=["s1", "s2", "s3"])
+    def test_filters_equal_filtering_every_composition(self, parts):
+        """Each cut walk lists what the unfiltered walk lists and the filter keeps."""
+        for n in range(13):
+            every = [c.parts for c in enum_compositions(parts, n)]
+
+            def check(part_count=None, num_parts=None):
+                got = [c.parts for c in enum_compositions(parts, n, part_count, num_parts)]
+                assert got == [
+                    c for c in every
+                    if (part_count is None or c.count(part_count[0]) == part_count[1])
+                    and (num_parts is None or len(c) == num_parts)
+                ], (n, part_count, num_parts)
+
+            for size in range(-1, n + 2):
+                check(num_parts=size)
+            for p in range(n + 2):
+                for copies in range(-1, n + 2):
+                    check(part_count=(p, copies))
+            for p in (1, 2, 3):
+                for copies in range(n + 1):
+                    for size in range(copies, n + 1):
+                        check((p, copies), size)
+
+    def test_a_filtered_walk_visits_only_what_it_can_complete(self):
+        start = time.perf_counter()
+        assert [c.parts for c in enum_compositions(ONE_TWO, 24, num_parts=12)] == [(2,) * 12]
+        assert time.perf_counter() - start < 0.02  # the walk of all 75 025 takes about 0.2 s
+
 
 class TestWeightedPaths:
     def test_cost_three_listing(self):
@@ -361,6 +393,21 @@ class TestChords:
 
     def test_nested_cross_arcs_valid(self):
         ChordConfig(4, (), ((1, 4), (2, 3))).validate()
+
+    @given(st.lists(st.tuples(st.integers(0, 16), st.integers(1, 8)).map(lambda t: (t[0], t[0] + t[1])), max_size=9))
+    def test_the_sweep_finds_a_conflict_iff_a_pair_has_one(self, spans):
+        pair = _crossing(spans)
+        pairwise = [(a, b) for i, a in enumerate(spans) for b in spans[i + 1:] if _conflict(a, b)]
+        if pair is None:
+            assert pairwise == []
+        else:
+            assert set(pair) <= set(spans) and _conflict(*pair)
+
+    def test_refusal_names_two_conflicting_intervals(self):
+        with pytest.raises(InvalidInput) as info:
+            ChordConfig(10, ((2, 9), (4, 6)), ((3, 8),)).validate()
+        a, b = [tuple(map(int, iv.split(", "))) for iv in re.findall(r"\((\d+, \d+)\)", str(info.value))]
+        assert _conflict(a, b)
 
     def test_rejects_negative_point_count(self):
         with pytest.raises(InvalidInput, match="negative point count"):
