@@ -396,11 +396,11 @@ def large_objects(size):
     }
 
 
-def map_seconds(name, domain, fn, size):
+def map_seconds(name, domain, size):
     """One run of `map name` on the size-`size` object, as the CLI runs it:
     decode the object's text, map it, encode the image."""
     obj = large_objects(size)[domain]
-    decode, _, encode = cli.MAPS[name]
+    decode, fn, encode = cli.MAPS[name]
     text = cli.CODECS[domain][1](obj)
     start = time.perf_counter()
     parsed = (*obj[:2], *decode(text)) if domain == "segments" else decode(text)
@@ -408,18 +408,17 @@ def map_seconds(name, domain, fn, size):
     return time.perf_counter() - start
 
 
-@pytest.mark.parametrize("name, domain, fn", [m[:2] + m[3:4] for m in families.maps()],
-                         ids=[m[0] for m in families.maps()])
-def test_every_map_grows_about_linearly(name, domain, fn):
+@pytest.mark.parametrize("name, domain", [m[:2] for m in families.maps()], ids=[m[0] for m in families.maps()])
+def test_every_map_grows_about_linearly(name, domain):
     """A 4 times larger input takes at most 8 times as long, where a quadratic
     map takes about 16 times.  The small size is timed by its best of three
     runs; the large one passes on its first run within the bound, so that one
     slow run on a busy host does not fail it."""
     small, large = 2000, 8000
-    best = min(map_seconds(name, domain, fn, small) for _ in range(3))
+    best = min(map_seconds(name, domain, small) for _ in range(3))
     ratios = []
     for _ in range(3):
-        ratios.append(map_seconds(name, domain, fn, large) / best)
+        ratios.append(map_seconds(name, domain, large) / best)
         if ratios[-1] <= 8:
             return
     pytest.fail(f"{name}: {large} / {small} input took {min(ratios):.1f} times as long")

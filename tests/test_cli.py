@@ -545,6 +545,8 @@ def test_main_in_process_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     for argv in (["count", "a", "--k", "2", "--n", "4"], ["table", "a", "--max", "-1"]):
         main(argv)
+    with pytest.raises(SystemExit):
+        main(["count", "q"])
     assert gc.get_freeze_count() == before
 
 
