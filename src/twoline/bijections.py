@@ -12,9 +12,9 @@ Each correspondence is stated once, and both directions read that one copy:
   `_lay_out` lays a line out from its segments, and `_join` builds the
   matching of two lines; every map that builds a matching goes through it.
 - A weighted path's steps are the columns of a square matching's layout
-  (`_STEP_TO_COLUMN`), a peakless path's steps are 0-1-2 summands
-  (`_DIGIT_TO_STEP`), and a domino block's width is its {1,2}-part
-  (`objects.domino.BLOCK_WIDTH`).
+  (`_STEP_TO_COLUMN`), a closed set's bit pairs and a peakless path's steps
+  are 0-1-2 summands (`_DIGIT_TO_PAIR`, `_DIGIT_TO_STEP`), and a domino
+  block's width is its {1,2}-part (`objects.domino.BLOCK_WIDTH`).
 
 A table read the wrong way round still gives a bijection, so round trips
 cannot catch it; known answers in the tests pin each table.
@@ -85,7 +85,7 @@ def closed_set_to_matching(c: ClosedSet) -> Matching:
     c.validate()
     if c.fence_size % 2 != 0:
         raise InvalidInput("matching construction needs an even fence")
-    runs = c.encode().split("10")
+    runs = c.bits.split("10")
     return _join(
         "p".join(["s" * (run.count("0") // 2) for run in runs]),
         "p".join(["s" * (run.count("1") // 2) for run in runs]),
@@ -93,44 +93,34 @@ def closed_set_to_matching(c: ClosedSet) -> Matching:
 
 
 def matching_to_closed_set(m: Matching) -> ClosedSet:
-    """Inverse: the lower points are the members.  Each lower point past one
-    cross pair, up to the next one, follows every upper point left of that
-    next pair in the zigzag order."""
+    """Inverse: the lower points are the members.  From one cross pair to the
+    next, the upper points passed come before the lower points passed."""
     m.validate()
-    members: list[int] = []
-    last = 0
-    for u, l in m.cross_pairs() + [(m.k + 1, m.n)]:
-        members += range(last + u - 1, l + u - 1)  # lower point j sits at j + u - 2
-        last = l
-    return ClosedSet(m.k + m.n, frozenset(members))
+    crosses = [(1, 0)] + m.cross_pairs() + [(m.k + 1, m.n)]
+    runs = zip(crosses, crosses[1:])
+    return ClosedSet("".join(["0" * (u - pu) + "1" * (l - pl) for (pu, pl), (u, l) in runs]))
 
 
 # ---------------------------------------------------------------------------
 # closed sets <-> 0-1-2 sums
 # ---------------------------------------------------------------------------
 
+_DIGIT_TO_PAIR = ("00", "10", "11")  # a summand's edge, its lower vertex first
+
+
 def closed_set_to_012(c: ClosedSet) -> Sum012:
-    """Summand i counts the members on the i-th down-left edge of the fence."""
+    """Summand i counts the members on the i-th down-left edge of the fence,
+    the bit pair at 2i."""
     c.validate()
     if c.fence_size % 2 != 0:
         raise InvalidInput("0-1-2 construction needs an even fence")
-    out = []
-    for i in range(c.fence_size // 2):
-        lower, upper = 2 * i, 2 * i + 1
-        out.append((lower in c.members) + (upper in c.members))
-    return Sum012(tuple(out))
+    return Sum012(tuple([_DIGIT_TO_PAIR.index(c.bits[i:i + 2]) for i in range(0, c.fence_size, 2)]))
 
 
 def sum012_to_closed_set(s: Sum012) -> ClosedSet:
     """Inverse: a summand 1 can only mean the lower vertex of its edge."""
     s.validate()
-    members: set[int] = set()
-    for i, d in enumerate(s.summands):
-        if d >= 1:
-            members.add(2 * i)
-        if d == 2:
-            members.add(2 * i + 1)
-    return ClosedSet(2 * len(s.summands), frozenset(members))
+    return ClosedSet("".join([_DIGIT_TO_PAIR[d] for d in s.summands]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ row; every edge is directed from the upper vertex down to its one or two
 lower neighbours.  A vertex set is closed when no arrow leaves it: an
 upper member forces both of its lower neighbours in.
 
-A set is encoded as a bit string over the zigzag order, '1' marking a
-member, so the fence size is the string length.
+A set is its bit string over the zigzag order, '1' marking a member, and
+stores nothing else: the fence size is the string length.
 """
 from __future__ import annotations
 
@@ -20,67 +20,70 @@ FENCE_MAX_SIZE = 26
 
 
 class ClosedSet(Frozen):
-    __slots__ = ("fence_size", "members")
+    __slots__ = ("bits",)
 
-    def __init__(self, fence_size: int, members: frozenset[int]):
-        set_field(self, "fence_size", fence_size)
-        set_field(self, "members", frozenset(members))
+    def __init__(self, bits: str):
+        set_field(self, "bits", bits)
+
+    @property
+    def fence_size(self) -> int:
+        return len(self.bits)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(i for i, c in enumerate(self.bits) if c == "1")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.bits.count("1")
 
     def sort_key(self):
-        return self.encode()
+        return self.bits
 
     def validate(self) -> None:
-        if self.fence_size < 0:
-            raise InvalidInput("negative fence size")
-        for v in self.members:
-            if not 0 <= v < self.fence_size:
-                raise InvalidInput(f"vertex {v} outside the fence")
-        for v in self.members:
-            if v % 2 == 1:  # upper vertex: lower neighbours v-1, v+1 forced in
-                if v - 1 not in self.members:
-                    raise InvalidInput(f"arrow leaves the set at {v}->{v - 1}")
-                if v + 1 < self.fence_size and v + 1 not in self.members:
-                    raise InvalidInput(f"arrow leaves the set at {v}->{v + 1}")
+        bits = self.bits
+        if bits.strip("01"):
+            raise InvalidInput(f"bad bit string {bits!r}")
+        for v in range(1, len(bits), 2):
+            if bits[v] == "1":  # upper vertex: lower neighbours v-1, v+1 forced in
+                for w in (v - 1, v + 1):
+                    if bits[w:w + 1] == "0":
+                        raise InvalidInput(f"arrow leaves the set at {v}->{w}")
 
     def encode(self) -> str:
-        return "".join(
-            "1" if i in self.members else "0" for i in range(self.fence_size)
-        )
+        return self.bits
 
     @classmethod
     def decode(cls, text: str) -> "ClosedSet":
-        text = text.strip()
-        if any(c not in "01" for c in text):
-            raise InvalidInput(f"bad bit string {text!r}")
-        return cls(len(text), frozenset(i for i, c in enumerate(text) if c == "1"))
+        return cls(text.strip())
 
 
 def enum_closed_sets(m: int, size_filter: int | None = None) -> Iterator[ClosedSet]:
     """All closed sets of the fence on m vertices, in bit-string order.
 
-    With size_filter set, only sets of that cardinality are yielded: a
-    prefix is cut once it holds more members, or once the positions left
-    cannot bring it up to that many.
+    The search appends a lower vertex and the upper vertex after it at a time,
+    and is `forced` after an upper member.  With size_filter set, only sets of
+    that cardinality are yielded: a prefix of `size` members is cut once it
+    holds more, or once the positions left cannot bring it up to that many.
     """
     if m > FENCE_MAX_SIZE:
         raise InstanceTooLarge(f"fence enumeration capped at m <= {FENCE_MAX_SIZE}")
     if m < 0:
         return
 
-    def rec(pos: int, members: tuple[int, ...]) -> Iterator[ClosedSet]:
-        if size_filter is not None and not 0 <= size_filter - len(members) <= m - pos:
+    def rec(pos: int, bits: str, size: int, forced: bool) -> Iterator[ClosedSet]:
+        if size_filter is not None and not 0 <= size_filter - size <= m - pos:
             return
-        if pos == m:
-            yield ClosedSet(m, frozenset(members))
-            return
-        left_in = members[-1:] == (pos - 1,)
-        if pos % 2 == 1 or not left_in:  # an upper member at pos-1 forces this lower vertex in
-            yield from rec(pos + 1, members)
-        if pos % 2 == 0 or left_in:  # an upper vertex needs its left lower neighbour in
-            yield from rec(pos + 1, members + (pos,))
+        if pos + 1 < m:  # an upper vertex needs the lower vertex before it in
+            if not forced:
+                yield from rec(pos + 2, bits + "00", size, False)
+            yield from rec(pos + 2, bits + "10", size + 1, False)
+            yield from rec(pos + 2, bits + "11", size + 2, True)
+        elif pos < m:  # an odd fence ends with a lower vertex
+            if not forced:
+                yield from rec(m, bits + "0", size, False)
+            yield from rec(m, bits + "1", size + 1, False)
+        else:
+            yield ClosedSet(bits)
 
-    yield from rec(0, ())
+    yield from rec(0, "", 0, False)

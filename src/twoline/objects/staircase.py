@@ -19,6 +19,15 @@ STAIRCASE_MAX_SUM = 28
 Run = tuple[int, int]
 
 
+def _run_texts(h: int, v: int) -> tuple[str, str]:
+    """A run pair's text in the run encoding and in the step encoding."""
+    return f"H{h},V{v}", f"{h}{v}"
+
+
+# the four valid run pairs, in run order, with their texts; any other is written out
+_RUN_TEXTS = {(h, v): _run_texts(h, v) for h in (1, 2) for v in (1, 2)}
+
+
 class Staircase(Frozen):
     __slots__ = ("runs",)
 
@@ -34,7 +43,7 @@ class Staircase(Frozen):
                 raise InvalidInput(f"run lengths ({h},{v}) must be 1 or 2")
 
     def encode(self) -> str:
-        return ",".join(f"H{h},V{v}" for h, v in self.runs)
+        return ",".join([(_RUN_TEXTS.get(run) or _run_texts(*run))[0] for run in self.runs])
 
     @classmethod
     def decode(cls, text: str) -> "Staircase":
@@ -55,7 +64,7 @@ class Staircase(Frozen):
         return cls(tuple(runs))
 
     def encode_steps(self) -> str:
-        return "-".join(f"{h}{v}" for h, v in self.runs)
+        return "-".join([(_RUN_TEXTS.get(run) or _run_texts(*run))[1] for run in self.runs])
 
 
 def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
@@ -69,13 +78,10 @@ def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
         if rk == 0 and rn == 0:
             yield Staircase(runs)
             return
-        for h in (1, 2):
-            if h > rk:
-                break
-            for v in (1, 2):
-                if v > rn:
-                    break
-                yield from rec(runs + ((h, v),), rk - h, rn - v)
+        for run in _RUN_TEXTS:
+            ck, cn = rk - run[0], rn - run[1]
+            if ck <= 2 * cn and cn <= 2 * ck:  # some staircase finishes (ck, cn)
+                yield from rec(runs + (run,), ck, cn)
 
     yield from rec((), k, n)
 

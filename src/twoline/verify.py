@@ -286,7 +286,7 @@ def suite_bijections(max_scale: int = 12) -> VerificationReport:
          ("staircases", list(families.pairs(min(s, 10))))),
     )
     rebuilt = {"split-horizontals": "segment layout", "staircase-to-compositions": "run pair"}
-    marked = ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
+    marked = ClosedSet("00001110111000")
     # check id -> (the anchor check that follows it, its detail, want, got)
     anchors = {
         "closed-to-012": (

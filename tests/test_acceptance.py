@@ -126,7 +126,7 @@ def test_criterion_8_bijection_roundtrips():
     start = time.perf_counter()
     rep = vfy.suite_bijections(12)
     anchor_012 = bij.closed_set_to_012(
-        ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
+        ClosedSet("00001110111000")
     ).summands == (0, 0, 2, 1, 2, 1, 0)
     anchor_comp = bij.composition_s1_to_s2(
         Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)

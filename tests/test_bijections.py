@@ -35,20 +35,20 @@ from enumerated import nth_object
 
 # a 16-vertex fence with member runs of sizes 3, 3 and 2, and the
 # matching its construction produces
-FENCE16 = ClosedSet(16, frozenset({4, 5, 6, 8, 9, 10, 14, 15}))
+FENCE16 = ClosedSet("0000111011100011")
 FENCE16_IMAGE = "U1-U2,U3-U4,U5-L3,U6-L6,U7-U8,L1-L2,L4-L5,L7-L8"
 
 # a 14-vertex fence whose down-left edges carry 0,0,2,1,2,1,0 members
-FENCE14 = ClosedSet(14, frozenset({4, 5, 6, 8, 9, 10}))
+FENCE14 = ClosedSet("00001110111000")
 
 
 class TestClosedSetToMatching:
     def test_empty_set(self):
-        got = bij.closed_set_to_matching(ClosedSet(4, frozenset()))
+        got = bij.closed_set_to_matching(ClosedSet("0000"))
         assert got.encode() == "U1-U2,U3-U4"
 
     def test_full_set(self):
-        got = bij.closed_set_to_matching(ClosedSet(4, frozenset(range(4))))
+        got = bij.closed_set_to_matching(ClosedSet("1111"))
         assert got.encode() == "L1-L2,L3-L4"
 
     def test_sixteen_vertex_example(self):
@@ -80,7 +80,7 @@ class TestClosedSetToMatching:
 
     def test_rejects_odd_fence(self):
         with pytest.raises(InvalidInput):
-            bij.closed_set_to_matching(ClosedSet(3, frozenset()))
+            bij.closed_set_to_matching(ClosedSet("000"))
 
 
 class TestClosedSetTo012:
@@ -88,8 +88,8 @@ class TestClosedSetTo012:
         assert bij.closed_set_to_012(FENCE14).summands == (0, 0, 2, 1, 2, 1, 0)
 
     def test_empty_and_full(self):
-        assert bij.closed_set_to_012(ClosedSet(8, frozenset())).summands == (0,) * 4
-        assert bij.closed_set_to_012(ClosedSet(8, frozenset(range(8)))).summands == (2,) * 4
+        assert bij.closed_set_to_012(ClosedSet("00000000")).summands == (0,) * 4
+        assert bij.closed_set_to_012(ClosedSet("11111111")).summands == (2,) * 4
 
     def test_roundtrip(self):
         for fence in range(0, 13, 2):

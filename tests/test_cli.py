@@ -189,7 +189,7 @@ MALFORMED = {
     "tiling": ("VXH",),
     "odd": ("",),
     "s1-pair": ("1+b;1",),
-    "Staircase": ("H1,X1", "H1"),
+    "Staircase": ("H1,X1", "H1", "H3,V1"),
 }
 
 

@@ -13,8 +13,12 @@ the two-column rule of `segments_cross` on its own.  `crossing_search_lacings`
 is the search `enum_lacings` ran before it walked columns top-down, testing
 each new segment against the drawn ones; the top-down walk must yield exactly
 its lacings, in its order, at sizes past the brute force's reach.
+`closed_sets_oracle` and `staircases_oracle` are brute force too: every bit
+string kept if no arrow of the fence leaves it, and every sequence of run
+pairs kept if it sums to the target, against two searches that cut prefixes.
 """
-from itertools import combinations, islice, permutations
+from functools import cache
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -23,15 +27,21 @@ from twoline.objects import (
     LACING_MAX_HOLES,
     MODES,
     ChordConfig,
+    ClosedSet,
     Lacing,
     Matching,
+    Staircase,
     enum_chords,
+    enum_closed_sets,
     enum_lacings,
     enum_matchings,
+    enum_staircases,
     segments_cross,
 )
 from twoline.objects import chords as chords_mod
+from twoline.objects import fence as fence_mod
 from twoline.objects import matching as matching_mod
+from twoline.objects import staircase as staircase_mod
 from twoline.objects.chords import _candidates
 from twoline.objects.lacing import _laced
 
@@ -158,6 +168,35 @@ def crossing_search_lacings(k, n):
     return found
 
 
+@cache
+def closed_sets_oracle(m):
+    """Every bit string of length m, in string order, kept if no arrow leaves
+    it: each upper (odd) vertex points down to the lower vertices beside it,
+    and a member's arrow must end at a member."""
+    arrows = [(v, w) for v in range(1, m, 2) for w in (v - 1, v + 1) if w < m]
+    return [
+        ClosedSet(bits) for bits in map("".join, product("01", repeat=m))
+        if all(bits[v] <= bits[w] for v, w in arrows)
+    ]
+
+
+@cache
+def _run_sequences(max_sum):
+    """(k, n) -> every sequence of run pairs (h, v), h and v in {1, 2}, that
+    sums to (k, n), for k + n <= max_sum, sorted."""
+    found = {}
+    for length in range(max_sum // 2 + 1):
+        for runs in product(product((1, 2), repeat=2), repeat=length):
+            k, n = sum(h for h, _ in runs), sum(v for _, v in runs)
+            if k + n <= max_sum:
+                found.setdefault((k, n), []).append(runs)
+    return {target: sorted(seqs) for target, seqs in found.items()}
+
+
+def staircases_oracle(k, n):
+    return [Staircase(runs) for runs in _run_sequences(14).get((k, n), [])]
+
+
 def _coord(h):
     return (0 if h[0] == "L" else 1, h[1])
 
@@ -218,6 +257,20 @@ def test_chords_equal_the_oracle(n):
     assert list(enum_chords(n)) == chords_oracle(n)
 
 
+@pytest.mark.parametrize("m", range(15))
+def test_closed_sets_equal_the_brute_force(m):
+    every = closed_sets_oracle(m)
+    assert list(enum_closed_sets(m)) == every
+    for size in range(-1, m + 2):
+        assert list(enum_closed_sets(m, size)) == [c for c in every if c.bits.count("1") == size]
+
+
+@pytest.mark.parametrize("total", range(-1, 15))
+def test_staircases_equal_the_brute_force(total):
+    for k in range(-1, total + 2):
+        assert list(enum_staircases(k, total - k)) == staircases_oracle(k, total - k)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("total", range(2, 8))
 def test_lacings_equal_the_brute_force(mode, total):
@@ -257,3 +310,17 @@ def test_a_chord_prefix_builds_only_its_objects(monkeypatch):
     head = list(islice(enum_chords(10), 100))
     assert head == chords_oracle(10)[:100]
     assert len(built) <= 100
+
+
+def test_a_closed_set_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, fence_mod, "ClosedSet")
+    head = list(islice(enum_closed_sets(14), 10))
+    assert head == closed_sets_oracle(14)[:10]
+    assert len(built) <= 10
+
+
+def test_a_staircase_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, staircase_mod, "Staircase")
+    head = list(islice(enum_staircases(7, 7), 10))
+    assert head == staircases_oracle(7, 7)[:10]
+    assert len(built) <= 10

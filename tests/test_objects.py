@@ -209,13 +209,15 @@ class TestClosedSets:
     def test_rejects_open_set(self):
         # upper vertex 1 in the set, its lower neighbour 2 missing
         with pytest.raises(InvalidInput):
-            ClosedSet(4, frozenset({0, 1})).validate()
+            ClosedSet("1100").validate()
         with pytest.raises(InvalidInput):
-            ClosedSet(4, frozenset({1, 2})).validate()
+            ClosedSet("0110").validate()
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            ClosedSet(4, frozenset({4})).validate()
+        # a position that holds neither bit
+        for bits in ("0120", "1 11", "11-1"):
+            with pytest.raises(InvalidInput, match="bad bit string"):
+                ClosedSet(bits).validate()
 
 
 class TestSums012:
@@ -520,6 +522,10 @@ class TestStaircases:
         with pytest.raises(InvalidInput):
             Staircase(((3, 1),)).validate()
 
+    def test_a_long_run_is_written_out(self):
+        assert Staircase(((3, 1),)).encode() == "H3,V1"
+        assert Staircase(((1, 1), (3, 1))).encode_steps() == "11-31"
+
 
 def decode_steps(text):
     """The staircase a step path such as `11-22-21` encodes (`encode_steps`
@@ -607,7 +613,7 @@ class TestMutatedCorpus:
         count = 0
         for c in enum_closed_sets(8):
             for upper in (v for v in c.members if v % 2 == 1):
-                mutated = ClosedSet(8, c.members - {upper - 1})
+                mutated = ClosedSet(c.bits[:upper - 1] + "0" + c.bits[upper:])
                 with pytest.raises(InvalidInput):
                     mutated.validate()
                 count += 1
@@ -689,16 +695,15 @@ def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index,
 
 
 
-# one object of each object type and of PartSet, and its repr.  Matching,
-# ChordConfig and ClosedSet are built from arguments they normalize (unsorted
-# pairs and arcs, a list of members); MotzkinPath and WeightedPath have equal
-# fields.
+# one object of each object type and of PartSet, and its repr.  Matching and
+# ChordConfig are built from arguments they normalize (unsorted pairs and
+# arcs); MotzkinPath and WeightedPath have equal fields.
 VALUES = [
     (Matching(2, 2, ((("L", 2), ("L", 1)), (("U", 1), ("U", 2)))),
      "Matching(k=2, n=2, pairs=((('U', 1), ('U', 2)), (('L', 1), ('L', 2))))"),
     (MotzkinPath("UHD"), "MotzkinPath(steps='UHD')"),
     (DominoPair(3, 2, "VH", "VV"), "DominoPair(k=3, n=2, left='VH', right='VV')"),
-    (ClosedSet(6, [5, 1, 2]), "ClosedSet(fence_size=6, members=frozenset({1, 2, 5}))"),
+    (ClosedSet("011001"), "ClosedSet(bits='011001')"),
     (Sum012((1, 0, 2)), "Sum012(summands=(1, 0, 2))"),
     (Composition((1, 3, 3), ODD), "Composition(parts=(1, 3, 3), part_set=PartSet(kind='odd', parts=()))"),
     (WeightedPath("UHD"), "WeightedPath(steps='UHD')"),
@@ -710,8 +715,8 @@ VALUES = [
     (PartSet("explicit", (1, 2)), "PartSet(kind='explicit', parts=(1, 2))"),
 ]
 VALUE_IDS = [type(obj).__name__ for obj, _ in VALUES]
-# every type above by name, and the one other name their reprs use
-NAMESPACE = {**{type(obj).__name__: type(obj) for obj, _ in VALUES}, "frozenset": frozenset}
+# every type above by name, the only names their reprs use
+NAMESPACE = {type(obj).__name__: type(obj) for obj, _ in VALUES}
 
 
 def test_every_object_type_has_a_value():
