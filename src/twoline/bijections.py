@@ -13,8 +13,9 @@ Each correspondence is stated once, and both directions read that one copy:
   matching of two lines; every map that builds a matching goes through it.
 - A weighted path's steps are the columns of a square matching's layout
   (`_STEP_TO_COLUMN`), a closed set's bit pairs and a peakless path's steps
-  are 0-1-2 summands (`_DIGIT_TO_PAIR`, `_DIGIT_TO_STEP`), and a domino
-  block's width is its {1,2}-part (`objects.domino.BLOCK_WIDTH`).
+  are 0-1-2 summands renamed by the tables their enumerators write with
+  (`objects.fence.DIGIT_TO_PAIR`, `objects.motzkin.DIGIT_TO_STEP`), and a
+  domino block's width is its {1,2}-part (`objects.domino.BLOCK_WIDTH`).
 
 A table read the wrong way round still gives a bijection, so round trips
 cannot catch it; known answers in the tests pin each table.
@@ -27,9 +28,9 @@ from .errors import InvalidInput
 from .objects.compositions import Composition
 from .objects.chords import ChordConfig
 from .objects.domino import BLOCK_WIDTH, block_widths
-from .objects.fence import ClosedSet
+from .objects.fence import DIGIT_TO_PAIR, ClosedSet
 from .objects.matching import Matching
-from .objects.motzkin import MotzkinPath
+from .objects.motzkin import DIGIT_TO_STEP, MotzkinPath
 from .objects.staircase import Staircase
 from .objects.sums012 import Sum012
 from .objects.weighted import WeightedPath
@@ -102,43 +103,36 @@ def matching_to_closed_set(m: Matching) -> ClosedSet:
 
 
 # ---------------------------------------------------------------------------
-# closed sets <-> 0-1-2 sums
+# 0-1-2 sums <-> closed sets and peakless paths: a word's digits renamed
 # ---------------------------------------------------------------------------
 
-_DIGIT_TO_PAIR = ("00", "10", "11")  # a summand's edge, its lower vertex first
+_PAIR_TO_DIGIT = {pair: digit for digit, pair in zip("012", DIGIT_TO_PAIR)}
+_TO_PAIRS = str.maketrans(dict(zip("012", DIGIT_TO_PAIR)))
+_TO_STEPS = str.maketrans("012", DIGIT_TO_STEP)
+_TO_DIGITS = str.maketrans(DIGIT_TO_STEP, "012")
 
 
 def closed_set_to_012(c: ClosedSet) -> Sum012:
-    """Summand i counts the members on the i-th down-left edge of the fence,
-    the bit pair at 2i."""
+    """Summand i counts the members of the bit pair at 2i."""
     c.validate()
     if c.fence_size % 2 != 0:
         raise InvalidInput("0-1-2 construction needs an even fence")
-    return Sum012(tuple([_DIGIT_TO_PAIR.index(c.bits[i:i + 2]) for i in range(0, c.fence_size, 2)]))
+    return Sum012("".join([_PAIR_TO_DIGIT[c.bits[i:i + 2]] for i in range(0, c.fence_size, 2)]))
 
 
 def sum012_to_closed_set(s: Sum012) -> ClosedSet:
-    """Inverse: a summand 1 can only mean the lower vertex of its edge."""
     s.validate()
-    return ClosedSet("".join([_DIGIT_TO_PAIR[d] for d in s.summands]))
-
-
-# ---------------------------------------------------------------------------
-# 0-1-2 sums <-> peakless paths
-# ---------------------------------------------------------------------------
-
-_DIGIT_TO_STEP = {2: "U", 1: "H", 0: "D"}
-_STEP_TO_DIGIT = {v: k for k, v in _DIGIT_TO_STEP.items()}
+    return ClosedSet(s.digits.translate(_TO_PAIRS))
 
 
 def s012_to_motzkin(s: Sum012) -> MotzkinPath:
     s.validate()
-    return MotzkinPath("".join(_DIGIT_TO_STEP[d] for d in s.summands))
+    return MotzkinPath(s.digits.translate(_TO_STEPS))
 
 
 def motzkin_to_s012(p: MotzkinPath) -> Sum012:
     p.validate()
-    return Sum012(tuple(_STEP_TO_DIGIT[c] for c in p.steps))
+    return Sum012(p.steps.translate(_TO_DIGITS))
 
 
 # ---------------------------------------------------------------------------

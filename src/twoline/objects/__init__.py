@@ -6,11 +6,11 @@ yields valid objects in the order of the type's sort_key, raising
 InstanceTooLarge beyond the documented feasibility cutoffs.  For matchings
 and chord configurations that is not the string order of the encodings.
 
-Enumerators search depth first and pass the word built so far down their
-recursion as the value its object stores (a closed set stores just its bit
-string), so a leaf builds its object from that value and no branch undoes
-what it did.  The lacing search alone keeps a set beside it: its visit order
-as a tuple would make each hole test a scan.
+Enumerators search depth first and carry the word built so far as the value
+its object stores, so no branch undoes what it did.  0-1-2 sums, peakless
+paths and closed sets share one search, `sums012.digit_words`, which keeps its
+own stack; the others recurse.  The lacing search alone keeps a set beside
+its word: its visit order as a tuple would make each hole test a scan.
 
 Each name below is imported from its module on first access (PEP 562) and
 then bound here, so using one family loads only that family's module.

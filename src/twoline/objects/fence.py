@@ -7,7 +7,9 @@ lower neighbours.  A vertex set is closed when no arrow leaves it: an
 upper member forces both of its lower neighbours in.
 
 A set is its bit string over the zigzag order, '1' marking a member, and
-stores nothing else: the fence size is the string length.
+stores nothing else: the fence size is the string length.  Its pairs, a lower
+vertex and the upper one after it, are the digits of a 0-1-2 sum renamed
+(`DIGIT_TO_PAIR`): an upper member forces the next lower vertex in.
 """
 from __future__ import annotations
 
@@ -15,8 +17,11 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
 from ..frozen import Frozen, set_field
+from .sums012 import digit_words
 
 FENCE_MAX_SIZE = 26
+
+DIGIT_TO_PAIR = ("00", "10", "11")  # a summand 1 can only mean the pair's lower vertex
 
 
 class ClosedSet(Frozen):
@@ -59,31 +64,13 @@ class ClosedSet(Frozen):
 
 
 def enum_closed_sets(m: int, size_filter: int | None = None) -> Iterator[ClosedSet]:
-    """All closed sets of the fence on m vertices, in bit-string order.
-
-    The search appends a lower vertex and the upper vertex after it at a time,
-    and is `forced` after an upper member.  With size_filter set, only sets of
-    that cardinality are yielded: a prefix of `size` members is cut once it
-    holds more, or once the positions left cannot bring it up to that many.
-    """
+    """All closed sets of the fence on m vertices, in bit-string order; with
+    size_filter set, only those of that size.  An odd fence ends with a lower
+    vertex: one more digit, 0 or 1, written as one bit."""
     if m > FENCE_MAX_SIZE:
         raise InstanceTooLarge(f"fence enumeration capped at m <= {FENCE_MAX_SIZE}")
     if m < 0:
         return
-
-    def rec(pos: int, bits: str, size: int, forced: bool) -> Iterator[ClosedSet]:
-        if size_filter is not None and not 0 <= size_filter - size <= m - pos:
-            return
-        if pos + 1 < m:  # an upper vertex needs the lower vertex before it in
-            if not forced:
-                yield from rec(pos + 2, bits + "00", size, False)
-            yield from rec(pos + 2, bits + "10", size + 1, False)
-            yield from rec(pos + 2, bits + "11", size + 2, True)
-        elif pos < m:  # an odd fence ends with a lower vertex
-            if not forced:
-                yield from rec(m, bits + "0", size, False)
-            yield from rec(m, bits + "1", size + 1, False)
-        else:
-            yield ClosedSet(bits)
-
-    yield from rec(0, "", 0, False)
+    pairs, odd = divmod(m, 2)
+    last = "01" if odd else None
+    yield from map(ClosedSet, digit_words(pairs + odd, DIGIT_TO_PAIR, size_filter, last))

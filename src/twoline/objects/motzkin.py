@@ -2,7 +2,8 @@
 
 Steps are U = (1, 1), H = (1, 0), D = (1, -1); "peakless" forbids a U
 immediately followed by a D.  Paths start at the origin and may dip below
-their start level -- there is no nonnegativity floor in this family.
+their start level -- there is no nonnegativity floor in this family.  A path
+is a 0-1-2 sum's digit word renamed (`DIGIT_TO_STEP`), of digit sum k + height.
 """
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
 from ..frozen import Frozen, set_field
+from .sums012 import digit_words
 
 MOTZKIN_MAX_STEPS = 22
 
-_DELTA = {"U": 1, "H": 0, "D": -1}
+DIGIT_TO_STEP = "DHU"  # a summand's step: 0 falls, 1 is level, 2 rises
 
 
 class MotzkinPath(Frozen):
@@ -24,15 +26,14 @@ class MotzkinPath(Frozen):
 
     @property
     def endpoint(self) -> tuple[int, int]:
-        return len(self.steps), sum(_DELTA[c] for c in self.steps)
+        return len(self.steps), self.steps.count("U") - self.steps.count("D")
 
     def sort_key(self):
         return self.steps
 
     def validate(self) -> None:
-        for c in self.steps:
-            if c not in _DELTA:
-                raise InvalidInput(f"bad step {c!r}")
+        if bad := self.steps.strip(DIGIT_TO_STEP):
+            raise InvalidInput(f"bad step {bad[0]!r}")
         if "UD" in self.steps:
             raise InvalidInput("path has a peak")
 
@@ -48,17 +49,4 @@ def enum_peakless(k: int, n_end: int) -> Iterator[MotzkinPath]:
     """All peakless paths of k steps ending at height n_end, lexicographically."""
     if k > MOTZKIN_MAX_STEPS:
         raise InstanceTooLarge(f"path enumeration capped at k <= {MOTZKIN_MAX_STEPS}")
-    if k < 0 or abs(n_end) > k:
-        return
-
-    def rec(steps: str, h: int) -> Iterator[MotzkinPath]:
-        remaining = k - len(steps)
-        if remaining == 0:  # the height test below lets only paths ending at n_end get here
-            yield MotzkinPath(steps)
-            return
-        for step in "HU" if steps.endswith("U") else "DHU":
-            nh = h + _DELTA[step]
-            if abs(n_end - nh) < remaining:
-                yield from rec(steps + step, nh)
-
-    yield from rec("", 0)
+    yield from map(MotzkinPath, digit_words(k, DIGIT_TO_STEP, k + n_end))

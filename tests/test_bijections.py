@@ -110,13 +110,13 @@ class TestClosedSetTo012:
 
 class TestSum012ToMotzkin:
     def test_substitutions(self):
-        assert bij.s012_to_motzkin(Sum012((1, 1, 1))).encode() == "HHH"
-        assert bij.s012_to_motzkin(Sum012((0, 1, 2))).encode() == "DHU"
-        assert bij.s012_to_motzkin(Sum012((2, 1, 0))).encode() == "UHD"
+        assert bij.s012_to_motzkin(Sum012("111")).encode() == "HHH"
+        assert bij.s012_to_motzkin(Sum012("012")).encode() == "DHU"
+        assert bij.s012_to_motzkin(Sum012("210")).encode() == "UHD"
 
     def test_endpoint(self):
         # n = 3 summands totalling k = 3 land at (n, k - n) = (3, 0)
-        assert bij.s012_to_motzkin(Sum012((0, 1, 2))).endpoint == (3, 0)
+        assert bij.s012_to_motzkin(Sum012("012")).endpoint == (3, 0)
 
     def test_roundtrip_and_peakless(self):
         for n in range(7):

@@ -225,6 +225,33 @@ class TestMap:
         code, _, err = run(capsys, "map", "closed-to-012", "0102")
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "text, result",
+        [
+            ("10", (2, "", "twoline: summand 10 not in 0..2\n")),  # not the digits 1 and 0
+            ("1+-1", (2, "", "twoline: summand -1 not in 0..2\n")),
+            ("01+2", (0, "HU\n", "")),  # each token is read as an int
+            (" 1 + 2 ", (0, "HU\n", "")),
+            ("2+0", (2, "", "twoline: a 2 is immediately followed by a 0\n")),
+            ("", (0, "\n", "")),
+        ],
+    )
+    def test_a_sum_is_read_summand_by_summand(self, capsys, text, result):
+        assert run(capsys, "map", "012-to-motzkin", text) == result
+
+    # one known answer per direction: a table read the wrong way round still round-trips
+    @pytest.mark.parametrize(
+        "name, text, image",
+        [
+            ("012-to-motzkin", "2+1+0", "UHD"),
+            ("motzkin-to-012", "UHD", "2+1+0"),
+            ("012-to-closed", "0+2+1", "001110"),
+            ("closed-to-012", "001110", "0+2+1"),
+        ],
+    )
+    def test_each_rename_reads_its_table_the_right_way_round(self, capsys, name, text, image):
+        assert run(capsys, "map", name, text) == (0, image + "\n", "")
+
     def test_invalid_domain_is_exit_2(self, capsys):
         # odd fence cannot be arranged as a matching
         code, _, _ = run(capsys, "map", "closed-to-matching", "000")
@@ -290,7 +317,7 @@ class TestVerify:
         assert all(c in all_checks for c in report["checks"])
 
     def test_failed_roundtrip_names_its_witness(self, capsys, monkeypatch):
-        monkeypatch.setattr(bij, "motzkin_to_s012", lambda p: Sum012((1,) * len(p.steps)))
+        monkeypatch.setattr(bij, "motzkin_to_s012", lambda p: Sum012("1" * len(p.steps)))
         code, out, _ = run(capsys, "verify", "--suite", "bijections", "--format", "text")
         assert code == 1
         line = next(x for x in out.splitlines() if " 012-to-motzkin:" in x)

@@ -31,17 +31,21 @@ from twoline.objects import (
     Lacing,
     Matching,
     Staircase,
+    enum_012,
     enum_chords,
     enum_closed_sets,
     enum_lacings,
     enum_matchings,
+    enum_peakless,
     enum_staircases,
     segments_cross,
 )
 from twoline.objects import chords as chords_mod
 from twoline.objects import fence as fence_mod
 from twoline.objects import matching as matching_mod
+from twoline.objects import motzkin as motzkin_mod
 from twoline.objects import staircase as staircase_mod
+from twoline.objects import sums012 as sums012_mod
 from twoline.objects.chords import _candidates
 from twoline.objects.lacing import _laced
 
@@ -317,6 +321,47 @@ def test_a_closed_set_prefix_builds_only_its_objects(monkeypatch):
     head = list(islice(enum_closed_sets(14), 10))
     assert head == closed_sets_oracle(14)[:10]
     assert len(built) <= 10
+
+
+def digit_words_oracle(n, total, letters):
+    """Every word of n letters for the digits 0 < 1 < 2, in digit order, kept
+    if its digits add up to total and no 2 comes right before a 0."""
+    words = map("".join, product(letters, repeat=n))
+    return [w for w in words if sum(map(letters.index, w)) == total and letters[2] + letters[0] not in w]
+
+
+def test_a_sum_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, sums012_mod, "Sum012")
+    head = list(islice(enum_012(10, 10), 10))
+    assert [s.digits for s in head] == digit_words_oracle(10, 10, "012")[:10]
+    assert len(built) <= 10
+
+
+def test_a_path_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, motzkin_mod, "MotzkinPath")
+    head = list(islice(enum_peakless(10, 0), 10))
+    assert [p.steps for p in head] == digit_words_oracle(10, 10, "DHU")[:10]
+    assert len(built) <= 10
+
+
+@pytest.mark.parametrize(
+    "module, cap, enumerate_",
+    [
+        (fence_mod, "FENCE_MAX_SIZE", lambda: enum_closed_sets(4001)),
+        (sums012_mod, "SUM012_MAX_TERMS", lambda: enum_012(3000, 3000)),
+        (motzkin_mod, "MOTZKIN_MAX_STEPS", lambda: enum_peakless(3000, 0)),
+    ],
+    ids=["closed sets", "sums", "paths"],
+)
+def test_words_longer_than_the_recursion_limit_arrive(monkeypatch, module, cap, enumerate_):
+    """The shared search keeps its own stack, so a word's length is bound only
+    by the cap, not by Python's recursion depth."""
+    monkeypatch.setattr(module, cap, 10**6)
+    head = list(islice(enumerate_(), 3))
+    assert len(head) == 3 and len(set(head)) == 3
+    assert [obj.sort_key() for obj in head] == sorted(obj.sort_key() for obj in head)
+    for obj in head:
+        obj.validate()
 
 
 def test_a_staircase_prefix_builds_only_its_objects(monkeypatch):

@@ -93,10 +93,17 @@ def test_object_requests_load_no_dataclasses_or_inspect(argv):
 
 
 def test_an_enumeration_loads_only_its_family():
-    code, modules = modules_after("enumerate", "matchings", "--k", "2", "--n", "2")
-    assert code == 0
-    assert [m for m in modules if m.startswith("twoline.objects.")] == ["twoline.objects.matching"]
-    assert "twoline.bijections" not in modules and "twoline.verify" not in modules
+    """Paths and closed sets load the module that holds their shared search too."""
+    for argv, loaded in [
+        (("matchings", "--k", "2", "--n", "2"), ["matching"]),
+        (("motzkin", "--k", "2", "--n", "0"), ["motzkin", "sums012"]),
+        (("closedsets", "--m", "5"), ["fence", "sums012"]),
+    ]:
+        code, modules = modules_after("enumerate", *argv)
+        assert code == 0
+        objects_loaded = [m for m in modules if m.startswith("twoline.objects.")]
+        assert objects_loaded == [f"twoline.objects.{name}" for name in loaded]
+        assert "twoline.bijections" not in modules and "twoline.verify" not in modules
 
 
 def parser_choices(command, option):

@@ -244,11 +244,11 @@ class TestSums012:
 
     def test_rejects_two_then_zero(self):
         with pytest.raises(InvalidInput):
-            Sum012((1, 2, 0)).validate()
+            Sum012("120").validate()
 
     def test_rejects_bad_digit(self):
         with pytest.raises(InvalidInput):
-            Sum012((1, 3)).validate()
+            Sum012("13").validate()
 
 
 class TestCompositions:
@@ -622,12 +622,10 @@ class TestMutatedCorpus:
     def test_sum012_digit_flip(self):
         count = 0
         for s in enum_012(4, 4):
-            for i in range(len(s.summands) - 1):
-                if s.summands[i] == 2 and s.summands[i + 1] != 0:
-                    digits = list(s.summands)
-                    digits[i + 1] = 0
+            for i in range(len(s.digits) - 1):
+                if s.digits[i] == "2" and s.digits[i + 1] != "0":
                     with pytest.raises(InvalidInput):
-                        Sum012(tuple(digits)).validate()
+                        Sum012(s.digits[:i + 1] + "0" + s.digits[i + 2:]).validate()
                     count += 1
         assert count > 0
 
@@ -704,7 +702,7 @@ VALUES = [
     (MotzkinPath("UHD"), "MotzkinPath(steps='UHD')"),
     (DominoPair(3, 2, "VH", "VV"), "DominoPair(k=3, n=2, left='VH', right='VV')"),
     (ClosedSet("011001"), "ClosedSet(bits='011001')"),
-    (Sum012((1, 0, 2)), "Sum012(summands=(1, 0, 2))"),
+    (Sum012("102"), "Sum012(digits='102')"),
     (Composition((1, 3, 3), ODD), "Composition(parts=(1, 3, 3), part_set=PartSet(kind='odd', parts=()))"),
     (WeightedPath("UHD"), "WeightedPath(steps='UHD')"),
     (ChordConfig(10, [(5, 7), (4, 8)], [(3, 9), (1, 10)]),

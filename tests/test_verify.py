@@ -68,7 +68,7 @@ class TestRoundtrip:
 
     def test_failing_report_finds_witness(self):
         size, images, failures, witness = vfy.roundtrip(
-            enum_012(2, 2), lambda s: s, lambda s: Sum012((9,))
+            enum_012(2, 2), lambda s: s, lambda s: Sum012("9")
         )
         assert failures == size > 0
         assert witness == "0+2"
