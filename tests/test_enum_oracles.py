@@ -16,6 +16,8 @@ its lacings, in its order, at sizes past the brute force's reach.
 `closed_sets_oracle` and `staircases_oracle` are brute force too: every bit
 string kept if no arrow of the fence leaves it, and every sequence of run
 pairs kept if it sums to the target, against two searches that cut prefixes.
+`digit_words_oracle` keeps every word over three letters whose digits sum to
+the total, for the prefixes of the sums and paths that share the fence's search.
 """
 from functools import cache
 from itertools import combinations, islice, permutations, product
