@@ -6,11 +6,11 @@ of verify runs each check over a whole enumerated domain.
 
 Each correspondence is stated once, and both directions read that one copy:
 
-- A matching is laid out as its two lines read left to right, each a string
-  of objects: 'p' a free point, 's' a segment joining two neighbouring
-  points.  The free points of the two lines join across, in order.
-  `_lay_out` lays a line out from its segments, and `_join` builds the
-  matching of two lines; every map that builds a matching goes through it.
+- A matching is its layout (`objects.matching`): its two lines read left to
+  right, each a string of objects, 'p' a free point, 's' a segment joining
+  two neighbouring points.  Every map into or out of a matching reads or
+  writes these two words; `_lay_out` lays a line out from segments given
+  from outside.
 - A weighted path's steps are the columns of a square matching's layout
   (`_STEP_TO_COLUMN`), a closed set's bit pairs and a peakless path's steps
   are 0-1-2 summands renamed by the tables their enumerators write with
@@ -49,29 +49,6 @@ def _lay_out(size: int, segments: Iterable[tuple[int, int]]) -> str:
     return "".join(objects)
 
 
-def _join(upper: str, lower: str) -> Matching:
-    """The matching of two lines: each segment joins its two points, and the
-    free points of the two lines join across, left to right."""
-    pairs = []
-    lines = []
-    for line, objects in (("U", upper), ("L", lower)):
-        free = []
-        i = 1
-        for obj in objects:
-            if obj == "p":
-                free.append((line, i))
-                i += 1
-            else:
-                pairs.append(((line, i), (line, i + 1)))
-                i += 2
-        lines.append((i - 1, free))
-    (k, free_u), (n, free_l) = lines
-    if len(free_u) != len(free_l):
-        raise InvalidInput("leftover points cannot be matched up")
-    pairs += zip(free_u, free_l)
-    return Matching(k, n, tuple(pairs))
-
-
 # ---------------------------------------------------------------------------
 # closed sets <-> matchings
 # ---------------------------------------------------------------------------
@@ -87,19 +64,18 @@ def closed_set_to_matching(c: ClosedSet) -> Matching:
     if c.fence_size % 2 != 0:
         raise InvalidInput("matching construction needs an even fence")
     runs = c.bits.split("10")
-    return _join(
+    return Matching(
         "p".join(["s" * (run.count("0") // 2) for run in runs]),
         "p".join(["s" * (run.count("1") // 2) for run in runs]),
     )
 
 
 def matching_to_closed_set(m: Matching) -> ClosedSet:
-    """Inverse: the lower points are the members.  From one cross pair to the
-    next, the upper points passed come before the lower points passed."""
+    """Inverse: the lower points are the members.  Between two free points,
+    the upper segments passed come before the lower segments passed."""
     m.validate()
-    crosses = [(1, 0)] + m.cross_pairs() + [(m.k + 1, m.n)]
-    runs = zip(crosses, crosses[1:])
-    return ClosedSet("".join(["0" * (u - pu) + "1" * (l - pl) for (pu, pl), (u, l) in runs]))
+    runs = zip(m.upper.split("p"), m.lower.split("p"))
+    return ClosedSet("10".join(["00" * len(up) + "11" * len(lo) for up, lo in runs]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +127,14 @@ def matching_to_weighted_path(m: Matching) -> WeightedPath:
     m.validate()
     if m.k != m.n:
         raise InvalidInput("weighted-path construction needs equal line sizes")
-    top, bottom = _lay_out(m.k, m.line_pairs("U")), _lay_out(m.n, m.line_pairs("L"))
-    return WeightedPath("".join(_COLUMN_TO_STEP[t + b] for t, b in zip(top, bottom)))
+    return WeightedPath("".join(_COLUMN_TO_STEP[t + b] for t, b in zip(m.upper, m.lower)))
 
 
 def weighted_path_to_matching(w: WeightedPath) -> Matching:
     """Inverse: expand each step into its column."""
     w.validate()
     columns = [_STEP_TO_COLUMN[step] for step in w.steps]
-    return _join("".join(c[0] for c in columns), "".join(c[1] for c in columns))
+    return Matching("".join(c[0] for c in columns), "".join(c[1] for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +213,8 @@ def matching_from_horizontals(
     left to right.  The segments come from outside, so the rebuilt matching
     must have the given sizes and hold exactly the given segments."""
     given = [sorted(tuple(sorted(seg)) for seg in segs) for segs in (upper, lower)]
-    m = _join(_lay_out(k, given[0]), _lay_out(n, given[1]))
+    m = Matching(_lay_out(k, given[0]), _lay_out(n, given[1]))
+    m.validate()
     if (m.k, m.n, m.line_pairs("U"), m.line_pairs("L")) != (k, n, *given):
         raise InvalidInput(f"no matching of {k} and {n} points has these segments")
     return m

@@ -119,7 +119,7 @@ class Lacing(Frozen):
     def decode(cls, text: str) -> "Lacing":
         order: list[Hole] = []
         for tok in text.strip().split("-"):
-            if not tok or tok[0] not in "LR" or not tok[1:].isdigit():
+            if not tok or tok[0] not in "LR" or not (tok[1:].isascii() and tok[1:].isdigit()):
                 raise InvalidInput(f"bad hole token {tok!r}")
             order.append((tok[0], int(tok[1:])))
         k = sum(1 for h in order if h[0] == "L")

@@ -142,11 +142,11 @@ class TestSum012ToMotzkin:
 
 class TestMatchingToWeighted:
     def test_single_cross(self):
-        m = Matching(1, 1, ((("U", 1), ("L", 1)),))
+        m = Matching.decode("U1-L1")
         assert bij.matching_to_weighted_path(m).encode() == "C"
 
     def test_two_horizontals(self):
-        m = Matching(2, 2, ((("U", 1), ("U", 2)), (("L", 1), ("L", 2))))
+        m = Matching.decode("U1-U2,L1-L2")
         assert bij.matching_to_weighted_path(m).encode() == "L"
 
     def test_four_column_example(self):
@@ -176,7 +176,7 @@ class TestMatchingToWeighted:
                 assert bij.weighted_path_to_matching(w) == m
 
     def test_rejects_uneven_lines(self):
-        m = Matching(2, 0, ((("U", 1), ("U", 2)),))
+        m = Matching.decode("U1-U2")
         with pytest.raises(InvalidInput):
             bij.matching_to_weighted_path(m)
 
@@ -214,28 +214,15 @@ class TestMotzkinChords:
 
 class TestSplitHorizontals:
     def test_seven_by_nine_example(self):
-        m = Matching(
-            7,
-            9,
-            (
-                (("U", 3), ("U", 4)),
-                (("U", 6), ("U", 7)),
-                (("L", 1), ("L", 2)),
-                (("L", 4), ("L", 5)),
-                (("L", 7), ("L", 8)),
-                (("U", 1), ("L", 3)),
-                (("U", 2), ("L", 6)),
-                (("U", 5), ("L", 9)),
-            ),
-        )
-        m.validate()
+        m = Matching.decode("U3-U4,U6-U7,L1-L2,L4-L5,L7-L8,U1-L3,U2-L6,U5-L9")
+        assert (m.upper, m.lower) == ("ppsps", "spspsp")
         up, lo = bij.matching_split_horizontals(m)
         assert up == ((3, 4), (6, 7))
         assert lo == ((1, 2), (4, 5), (7, 8))
         assert bij.matching_from_horizontals(7, 9, up, lo) == m
 
     def test_all_cross(self):
-        m = Matching(2, 2, ((("U", 1), ("L", 1)), (("U", 2), ("L", 2))))
+        m = Matching("pp", "pp")
         assert bij.matching_split_horizontals(m) == ((), ())
 
     def test_roundtrip_exhaustive(self):

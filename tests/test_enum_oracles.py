@@ -1,12 +1,15 @@
 """The streaming enumerators against collect-and-sort oracles.
 
 `matchings_oracle` and `chords_oracle` build every object and sort it by
-`sort_key`, the way the package enumerated matchings and symmetric chord
+its sort key, the way the package enumerated matchings and symmetric chord
 configurations before it generated them in canonical order.  They are kept
 here as test-only oracles: the streaming generators must yield exactly the
 same objects in exactly the same order, and must build no more objects
-than they are asked for.  `lacings_oracle` is brute force over every visit
-order, against the pruned backtracking of `enum_lacings`.  Since it validates
+than they are asked for.  A matching was a list of point pairs then, and
+`normalize_oracle`, `validate_oracle` and `encode_oracle` keep how such a list
+was sorted, checked and written: `Matching.decode` must refuse a pair list
+with the message `validate_oracle` gives, or write it as `encode_oracle` does.
+`lacings_oracle` is brute force over every visit order, against the pruned backtracking of `enum_lacings`.  Since it validates
 through `Lacing.validate`, it shares that method's crossing test, so
 `segments_cross_reference`, a general-position segment intersection, checks
 the two-column rule of `segments_cross` on its own.  `crossing_search_lacings`
@@ -23,6 +26,8 @@ from functools import cache
 from itertools import combinations, islice, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoline.errors import InvalidInput
 from twoline.objects import (
@@ -72,7 +77,52 @@ def _line_configs(size):
     return out
 
 
-def matchings_oracle(k, n):
+def point_key(p):
+    return (0 if p[0] == "U" else 1, p[1])
+
+
+def normalize_oracle(pairs):
+    """Each pair's points sorted, then the pairs: ("U", i) before ("L", j)."""
+    norm = [tuple(sorted(p, key=point_key)) for p in pairs]
+    return tuple(sorted(norm, key=lambda pr: (point_key(pr[0]), point_key(pr[1]))))
+
+
+def encode_oracle(pairs):
+    return ",".join(f"{a[0]}{a[1]}-{b[0]}{b[1]}" for a, b in pairs)
+
+
+def validate_oracle(k, n, pairs):
+    """Raise InvalidInput unless the normalized pairs are a noncrossing
+    perfect matching of k upper and n lower points."""
+    if k < 0 or n < 0:
+        raise InvalidInput("negative point count")
+    seen = set()
+    for a, b in pairs:
+        for p in (a, b):
+            line, i = p
+            bound = k if line == "U" else n
+            if not 1 <= i <= bound:
+                raise InvalidInput(f"point {line}{i} out of range")
+            if p in seen:
+                raise InvalidInput(f"point {line}{i} used twice")
+            seen.add(p)
+        if a == b:
+            raise InvalidInput("pair joins a point to itself")
+    if len(seen) != k + n:
+        raise InvalidInput("not a perfect matching")
+    for a, b in pairs:
+        if a[0] == b[0] and abs(a[1] - b[1]) != 1:
+            raise InvalidInput(f"same-line pair {a[0]}{a[1]}-{b[0]}{b[1]} not adjacent")
+    crosses = sorted(
+        (a[1], b[1]) if a[0] == "U" else (b[1], a[1]) for a, b in pairs if a[0] != b[0]
+    )
+    for (u1, l1), (u2, l2) in zip(crosses, crosses[1:]):
+        if not (u1 < u2 and l1 < l2):
+            raise InvalidInput("crossing segments between the lines")
+
+
+def pair_lists_oracle(k, n):
+    """The normalized pair lists of the matchings of (k, n) points, sorted."""
     if k < 0 or n < 0 or (k + n) % 2 == 1:
         return []
     lower_by_free = {}
@@ -84,9 +134,12 @@ def matchings_oracle(k, n):
             pairs = [(("U", a), ("U", b)) for a, b in usegs]
             pairs += [(("L", a), ("L", b)) for a, b in lsegs]
             pairs += [(("U", u), ("L", l)) for u, l in zip(ufree, lfree)]
-            found.append(Matching(k, n, tuple(pairs)))
-    found.sort(key=Matching.sort_key)
-    return found
+            found.append(normalize_oracle(pairs))
+    return sorted(found, key=lambda pairs: [(point_key(a), point_key(b)) for a, b in pairs])
+
+
+def matchings_oracle(k, n):
+    return [Matching.decode(encode_oracle(pairs)) for pairs in pair_lists_oracle(k, n)]
 
 
 def _pair_valid(a, b, n):
@@ -258,6 +311,62 @@ def test_matchings_equal_the_oracle(total):
         assert list(enum_matchings(k, total - k)) == matchings_oracle(k, total - k)
 
 
+_points = st.tuples(st.sampled_from("UL"), st.integers(0, 4))
+_valid = st.sampled_from(
+    [pairs for s in range(9) for k in range(s + 1) for pairs in pair_lists_oracle(k, s - k)]
+)
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pairs of small points, a pairing of all of U1..Uk and L1..Ln, or a valid
+    matching's pairs with some dropped, repeated or redrawn; each pair either
+    way round, in any order."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        pairs = draw(st.lists(st.tuples(_points, _points), max_size=6))
+    elif kind == 1:
+        k, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        n -= (k + n) % 2
+        points = [("U", i) for i in range(1, k + 1)] + [("L", j) for j in range(1, n + 1)]
+        order = draw(st.permutations(points))
+        pairs = list(zip(order[::2], order[1::2]))
+    else:
+        pairs = list(draw(_valid))
+        edits = st.tuples(st.integers(0, 2), st.integers(0, 9), _points)
+        for edit, at, p in draw(st.lists(edits, max_size=2)):
+            if pairs:
+                at %= len(pairs)
+                if edit == 0:
+                    del pairs[at]
+                elif edit == 1:
+                    pairs.append(pairs[at])
+                else:
+                    pairs[at] = (pairs[at][0], p)
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=500)
+@given(_pair_lists())
+def test_decode_refuses_and_writes_pair_lists_as_the_oracle(pairs):
+    k = sum(p[0] == "U" for pair in pairs for p in pair)
+    normalized = normalize_oracle(pairs)
+    text = encode_oracle(pairs)
+    try:
+        validate_oracle(k, 2 * len(pairs) - k, normalized)
+    except InvalidInput as refused:
+        with pytest.raises(InvalidInput) as got:
+            Matching.decode(text)
+        assert str(got.value) == str(refused)
+    else:
+        m = Matching.decode(text)
+        m.validate()
+        assert m.encode() == encode_oracle(normalized)
+        assert m.sort_key() == tuple((point_key(a), point_key(b)) for a, b in normalized)
+
+
 @pytest.mark.parametrize("n", range(-1, 12))
 def test_chords_equal_the_oracle(n):
     assert list(enum_chords(n)) == chords_oracle(n)
@@ -352,12 +461,13 @@ def test_a_path_prefix_builds_only_its_objects(monkeypatch):
         (fence_mod, "FENCE_MAX_SIZE", lambda: enum_closed_sets(4001)),
         (sums012_mod, "SUM012_MAX_TERMS", lambda: enum_012(3000, 3000)),
         (motzkin_mod, "MOTZKIN_MAX_STEPS", lambda: enum_peakless(3000, 0)),
+        (matching_mod, "MATCHING_MAX_SUM", lambda: enum_matchings(3000, 3000)),
     ],
-    ids=["closed sets", "sums", "paths"],
+    ids=["closed sets", "sums", "paths", "matchings"],
 )
 def test_words_longer_than_the_recursion_limit_arrive(monkeypatch, module, cap, enumerate_):
-    """The shared search keeps its own stack, so a word's length is bound only
-    by the cap, not by Python's recursion depth."""
+    """The word searches keep their own stacks, so a word's length is bound
+    only by the cap, not by Python's recursion depth."""
     monkeypatch.setattr(module, cap, 10**6)
     head = list(islice(enumerate_(), 3))
     assert len(head) == 3 and len(set(head)) == 3

@@ -77,29 +77,38 @@ class TestMatchings:
             assert Matching.decode(m.encode()) == m
 
     def test_rejects_wide_same_line_pair(self):
-        m = Matching(4, 0, ((("U", 1), ("U", 3)), (("U", 2), ("U", 4))))
-        with pytest.raises(InvalidInput):
-            m.validate()
+        with pytest.raises(InvalidInput, match="same-line pair U1-U3 not adjacent"):
+            Matching.decode("U1-U3,U2-U4")
 
     def test_rejects_crossing_segments(self):
-        m = Matching(2, 2, ((("U", 1), ("L", 2)), (("U", 2), ("L", 1))))
-        with pytest.raises(InvalidInput):
-            m.validate()
+        with pytest.raises(InvalidInput, match="crossing segments"):
+            Matching.decode("U1-L2,U2-L1")
 
     def test_rejects_reused_point(self):
-        m = Matching(2, 2, ((("U", 1), ("L", 1)), (("U", 1), ("L", 2))))
-        with pytest.raises(InvalidInput):
-            m.validate()
+        with pytest.raises(InvalidInput, match="point U1 used twice"):
+            Matching.decode("U1-L1,U1-L2")
 
     def test_rejects_incomplete(self):
-        m = Matching(2, 2, ((("U", 1), ("L", 1)),))
-        with pytest.raises(InvalidInput):
-            m.validate()
+        with pytest.raises(InvalidInput, match="leftover points"):
+            Matching("pp", "p").validate()
 
     def test_rejects_out_of_range(self):
-        m = Matching(1, 1, ((("U", 1), ("L", 2)),))
-        with pytest.raises(InvalidInput):
-            m.validate()
+        with pytest.raises(InvalidInput, match="point L2 out of range"):
+            Matching.decode("U1-L2")
+
+    def test_rejects_a_letter_outside_the_layout(self):
+        with pytest.raises(InvalidInput, match="bad layout object 'x'"):
+            Matching("px", "p").validate()
+
+    def test_stores_its_layout(self):
+        m = Matching.decode("L4-L3,U3-L5,U2-U1,L1-L2")
+        assert (m.upper, m.lower, m.k, m.n) == ("sp", "ssp", 3, 5)
+        assert m.encode() == "U1-U2,U3-L5,L1-L2,L3-L4"
+
+    @pytest.mark.parametrize("text", ["U\u0661-L1", "U\u00b2-L1", "U1-L\uff11"])
+    def test_indices_are_ascii_digits(self, text):
+        with pytest.raises(InvalidInput, match="bad point"):
+            Matching.decode(text)
 
 
 class TestPeakless:
@@ -449,6 +458,11 @@ class TestLacings:
         for l in enum_lacings(2, 3, "right"):
             assert Lacing.decode(l.encode()) == l
 
+    @pytest.mark.parametrize("text", ["L1-R\u0661", "L1-R\u00b2", "L\uff11-R1"])
+    def test_indices_are_ascii_digits(self, text):
+        with pytest.raises(InvalidInput, match="bad hole token"):
+            Lacing.decode(text)
+
     def test_rejects_same_side_run(self):
         bad = Lacing(2, 2, (("L", 1), ("L", 2), ("R", 1), ("R", 2)))
         # L2's neighbours are L1 and R1 -- fine; R1 has L2 -- fine; but ends at R2
@@ -585,29 +599,24 @@ class TestMutatedCorpus:
             if len(crosses) < 2:
                 continue
             (u1, l1), (u2, l2) = crosses[0], crosses[1]
-            others = [
-                p
-                for p in m.pairs
-                if p not in ((("U", u1), ("L", l1)), (("U", u2), ("L", l2)))
-            ]
-            mutated = Matching(
-                3, 3, tuple(others) + ((("U", u1), ("L", l2)), (("U", u2), ("L", l1)))
-            )
+            swap = {f"U{u1}-L{l1}": f"U{u1}-L{l2}", f"U{u2}-L{l2}": f"U{u2}-L{l1}"}
+            mutated = ",".join(swap.get(pair, pair) for pair in m.encode().split(","))
             with pytest.raises(InvalidInput):
-                mutated.validate()
+                Matching.decode(mutated)
             count += 1
         assert count > 0
 
     def test_matching_widened_segment(self):
+        count = 0
         for m in enum_matchings(4, 2):
+            pairs = m.encode().split(",")
             for a, b in m.line_pairs("U"):
-                if b + 1 <= 4 and not any(
-                    ("U", b + 1) in pr for pr in m.pairs if pr[0][0] == pr[1][0] == "U"
-                ):
-                    pairs = tuple(p for p in m.pairs if p != (("U", a), ("U", b)))
-                    mutated = Matching(4, 2, pairs + ((("U", a), ("U", b + 2)),))
+                if b + 1 <= 4 and (b + 1, b + 2) not in m.line_pairs("U"):
+                    widened = [f"U{a}-U{b + 2}" if p == f"U{a}-U{b}" else p for p in pairs]
                     with pytest.raises(InvalidInput):
-                        mutated.validate()
+                        Matching.decode(",".join(widened))
+                    count += 1
+        assert count > 0
 
     def test_closed_set_member_dropped(self):
         count = 0
@@ -693,12 +702,11 @@ def test_every_enumerated_object_decodes_from_its_encoding(family, sizes, index,
 
 
 
-# one object of each object type and of PartSet, and its repr.  Matching and
-# ChordConfig are built from arguments they normalize (unsorted pairs and
-# arcs); MotzkinPath and WeightedPath have equal fields.
+# one object of each object type and of PartSet, and its repr.  ChordConfig
+# is built from arguments it normalizes (unsorted arcs); MotzkinPath and
+# WeightedPath have equal fields.
 VALUES = [
-    (Matching(2, 2, ((("L", 2), ("L", 1)), (("U", 1), ("U", 2)))),
-     "Matching(k=2, n=2, pairs=((('U', 1), ('U', 2)), (('L', 1), ('L', 2))))"),
+    (Matching("sp", "ps"), "Matching(upper='sp', lower='ps')"),
     (MotzkinPath("UHD"), "MotzkinPath(steps='UHD')"),
     (DominoPair(3, 2, "VH", "VV"), "DominoPair(k=3, n=2, left='VH', right='VV')"),
     (ClosedSet("011001"), "ClosedSet(bits='011001')"),
