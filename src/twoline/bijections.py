@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InvalidInput
-from .objects.compositions import Composition
+from .objects.compositions import Composition, join
 from .objects.chords import ChordConfig
-from .objects.domino import BLOCK_WIDTH, block_widths
+from .objects.domino import BLOCK_WIDTH, tiling_width
 from .objects.fence import DIGIT_TO_PAIR, ClosedSet
 from .objects.matching import Matching
 from .objects.motzkin import DIGIT_TO_STEP, MotzkinPath
@@ -224,20 +224,22 @@ def matching_from_horizontals(
 # {1,2}-compositions <-> dominoes and odd compositions
 # ---------------------------------------------------------------------------
 
-_PART_TO_BLOCK = {width: block for block, width in BLOCK_WIDTH.items()}
+# a part's text -> its block and back, and no separator between blocks
+_RENAME = str.maketrans({"+": None} | {b: str(w) for b, w in BLOCK_WIDTH.items()}
+                        | {str(w): b for b, w in BLOCK_WIDTH.items()})
 
 
 def composition_s1_to_domino(c: Composition) -> str:
     """Each part becomes the block of its width."""
     c.validate()
-    try:
-        return "".join(_PART_TO_BLOCK[p] for p in c.parts)
-    except KeyError:
-        raise InvalidInput("parts must be 1 or 2") from None
+    if any(p not in (1, 2) for p in c.parts):
+        raise InvalidInput("parts must be 1 or 2")
+    return c.text.translate(_RENAME)
 
 
 def domino_to_composition_s1(tiling: str) -> Composition:
-    return Composition(block_widths(tiling), ONE_TWO)
+    tiling_width(tiling)  # refuses a letter that is not a block
+    return Composition("+".join(tiling.translate(_RENAME)), ONE_TWO)
 
 
 def composition_s1_to_s2(c: Composition) -> Composition:
@@ -249,15 +251,8 @@ def composition_s1_to_s2(c: Composition) -> Composition:
     c.validate()
     if any(p not in (1, 2) for p in c.parts):
         raise InvalidInput("parts must be 1 or 2")
-    out: list[int] = []
-    twos = 0
-    for p in list(c.parts) + [1]:
-        if p == 2:
-            twos += 1
-        else:
-            out.append(2 * twos + 1)
-            twos = 0
-    return Composition(tuple(out), ODD)
+    twos = c.text.replace("+", "").split("1")  # the twos before each 1, and after the last
+    return Composition(join(2 * len(run) + 1 for run in twos), ODD)
 
 
 def composition_s2_to_s1(c: Composition) -> Composition:
@@ -265,11 +260,7 @@ def composition_s2_to_s1(c: Composition) -> Composition:
     c.validate()
     if any(p % 2 == 0 for p in c.parts) or not c.parts:
         raise InvalidInput("need a nonempty all-odd composition")
-    flat: list[int] = []
-    for p in c.parts:
-        flat.extend([2] * ((p - 1) // 2))
-        flat.append(1)
-    return Composition(tuple(flat[:-1]), ONE_TWO)
+    return Composition("+".join("1".join("2" * (p // 2) for p in c.parts)), ONE_TWO)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +269,8 @@ def composition_s2_to_s1(c: Composition) -> Composition:
 
 def staircase_to_composition_pair(s: Staircase) -> tuple[Composition, Composition]:
     s.validate()
-    horiz = Composition(tuple(h for h, _ in s.runs), ONE_TWO)
-    vert = Composition(tuple(v for _, v in s.runs), ONE_TWO)
+    horiz = Composition(join(h for h, _ in s.runs), ONE_TWO)
+    vert = Composition(join(v for _, v in s.runs), ONE_TWO)
     return horiz, vert
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number reader of its decoders."""
 
 
 class TwolineError(Exception):
@@ -31,3 +31,11 @@ class InstanceTooLarge(TwolineError):
 
 class InvalidInput(TwolineError):
     """An object failed validation or a map received an object outside its domain."""
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for a run of ASCII digits.  Other scripts' digits, signs,
+    spaces and underscores, which int() reads, raise ValueError as int() does."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"not a run of ASCII digits: {text!r}")

@@ -8,10 +8,11 @@ and chord configurations that is not the string order of the encodings.
 
 Enumerators search depth first and carry the word built so far as the value
 its object stores, so no branch undoes what it did.  0-1-2 sums, peakless
-paths and closed sets share `sums012.digit_words`, which keeps its own stack,
-as `enum_matchings` does; the others recurse.  The lacing search alone keeps
-a set beside its word: its visit order as a tuple would make each hole test
-a scan.
+paths and closed sets share `sums012.digit_words`, compositions and domino
+tilings `compositions.part_words`: both keep their own stacks, as
+`enum_matchings` does; chords, lacings, staircases and weighted paths still
+recurse.  The lacing search alone keeps a set beside its word: its visit
+order as a tuple would make each hole test a scan.
 
 Each name below is imported from its module on first access (PEP 562) and
 then bound here, so using one family loads only that family's module.

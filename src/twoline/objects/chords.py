@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 
 CHORDS_MAX_POINTS = 12
@@ -108,7 +108,7 @@ class ChordConfig(Frozen):
     def decode(cls, text: str) -> "ChordConfig":
         try:
             npart, ipart, cpart = text.strip().split(":")
-            n = int(npart)
+            n = ascii_int(npart)
         except ValueError:
             raise InvalidInput(f"bad chord configuration {text!r}") from None
         return cls(n, decode_pairs(ipart), decode_pairs(cpart))
@@ -119,7 +119,7 @@ def decode_pairs(text: str) -> tuple[Arc, ...]:
     pairs = []
     for tok in filter(None, text.split(",")):
         try:
-            i, j = map(int, tok.split("-"))
+            i, j = map(ascii_int, tok.split("-"))
         except ValueError:
             raise InvalidInput(f"bad pair {tok!r}: expected two integers 'i-j'") from None
         pairs.append((i, j))

@@ -1,21 +1,31 @@
-"""Ordered compositions with summands drawn from a fixed part set."""
+"""Ordered compositions with summands drawn from a fixed part set, and the
+search that lists their words for domino tilings too."""
 from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 from ..partsets import PartSet
 
 COMPOSITION_MAX_TOTAL = 24
 
 
-class Composition(Frozen):
-    __slots__ = ("parts", "part_set")
+def join(parts) -> str:
+    """The text of a composition with these parts."""
+    return "+".join(map(str, parts))
 
-    def __init__(self, parts: tuple[int, ...], part_set: PartSet):
-        set_field(self, "parts", parts)
+
+class Composition(Frozen):
+    __slots__ = ("text", "part_set")  # the text: '1+2+2' is the parts 1, 2, 2
+
+    def __init__(self, text: str, part_set: PartSet):
+        set_field(self, "text", text)
         set_field(self, "part_set", part_set)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(map(int, self.text.split("+"))) if self.text else ()
 
     @property
     def n(self) -> int:
@@ -30,20 +40,55 @@ class Composition(Frozen):
                 raise InvalidInput(f"part {p} not in set {self.part_set.label}")
 
     def encode(self) -> str:
-        return "+".join(str(p) for p in self.parts)
+        return self.text
 
     @classmethod
     def decode(cls, text: str, part_set: PartSet | None = None) -> "Composition":
         text = text.strip()
-        parts: tuple[int, ...] = ()
-        if text:
-            try:
-                parts = tuple(int(t) for t in text.split("+"))
-            except ValueError:
-                raise InvalidInput(f"bad composition {text!r}") from None
-        if part_set is None:
-            part_set = PartSet.of(parts) if parts else PartSet.of((1,))
-        return cls(parts, part_set)
+        try:
+            parts = tuple(map(ascii_int, text.split("+"))) if text else ()
+        except ValueError:
+            raise InvalidInput(f"bad composition {text!r}") from None
+        return cls(join(parts), part_set or PartSet.of(parts or (1,)))
+
+
+def part_words(n: int, table, sep: str = "", p: int = 0, copies: int = 0,
+               size: int | None = None) -> Iterator[str]:
+    """The words of the compositions of n into the parts of `table`, a sequence
+    of (part, letter) in the order the words take them, each part written as
+    its letter with sep between two; only those with `copies` copies of part p
+    and, if size is set, `size` parts.  A state is what is left of n and the
+    copies of p and parts still due; a move enters one only if what is left
+    can take those copies and parts, so none below 0.  The moves are listed
+    first, then the search keeps its own stack of (word, state)."""
+    counted = size is not None
+    parts = [q for q, _ in table] or [1]  # with no part, only n = size = 0 completes
+    low, high = (min(parts), max(parts)) if counted else (0, n)  # (0, n) cuts nothing
+
+    def alive(rem: int, due: int, left: int) -> bool:
+        return 0 <= due and due * p <= rem and low * left <= rem <= high * left
+
+    states = [(n, copies, size if counted else 1)]  # uncounted, one part is always due
+    index = {states[0]: 0}
+    moves: list = []  # moves[i]: (letter, next state's index) from state i, last first; None at 0
+    for rem, due, left in states if alive(*states[0]) else ():  # grows as moves find states
+        moves.append([] if rem else None)
+        for q, letter in reversed(table) if rem else ():
+            after = (rem - q, due - (q == p), left - counted)
+            if q <= rem and alive(*after):
+                if after not in index:
+                    index[after] = len(states)
+                    states.append(after)
+                moves[-1].append((sep + letter if len(moves) > 1 else letter, index[after]))
+    stack = [("", 0)] if moves else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, i = pop()
+        if (row := moves[i]) is None:
+            yield word
+            continue
+        for letter, j in row:
+            push((word + letter, j))
 
 
 def enum_compositions(
@@ -52,51 +97,14 @@ def enum_compositions(
     part_count: tuple[int, int] | None = None,
     num_parts: int | None = None,
 ) -> Iterator[Composition]:
-    """All part_set-compositions of n, optionally filtered.
-
-    part_count = (p, c) keeps compositions containing part p exactly c
-    times; num_parts = c keeps those with exactly c summands.  A filtered
-    walk cuts a prefix once it holds too many parts or too many copies of p,
-    or once what is left of n cannot take the parts or the copies still due.
-    """
+    """All part_set-compositions of n, in the order of their parts, optionally
+    filtered: part_count = (p, c) keeps compositions containing part p exactly
+    c times; num_parts = c keeps those with exactly c summands."""
     if n > COMPOSITION_MAX_TOTAL:
         raise InstanceTooLarge(f"compositions capped at n <= {COMPOSITION_MAX_TOTAL}")
-    if n < 0:
-        return
-    members = part_set.members_up_to(n)
-
-    def rec(parts: tuple[int, ...], rem: int) -> Iterator[Composition]:
-        if rem == 0:
-            yield Composition(parts, part_set)
-            return
-        for p in members:
-            if p > rem:
-                break
-            yield from rec(parts + (p,), rem - p)
-
-    if part_count is None and num_parts is None:
-        yield from rec((), n)
-        return
     p, copies = part_count if part_count is not None else (0, 0)  # no part is 0
     if copies > 0 and p not in part_set:
         return
-    # with no part up to n, (1, 1) asks rem = left, which only the empty composition meets
-    smallest, largest = (members[0], members[-1]) if members else (1, 1)
-
-    def cut(parts: tuple[int, ...], rem: int, copies: int) -> Iterator[Composition]:
-        """rec, with `copies` copies of p still to place."""
-        if copies < 0 or copies * p > rem:
-            return
-        if num_parts is not None:
-            left = num_parts - len(parts)
-            if not left * smallest <= rem <= left * largest:
-                return
-        if rem == 0:
-            yield Composition(parts, part_set)
-            return
-        for q in members:
-            if q > rem:
-                break
-            yield from cut(parts + (q,), rem - q, copies - (q == p))
-
-    yield from cut((), n, copies)
+    table = [(q, str(q)) for q in part_set.members_up_to(n)]
+    for text in part_words(n, table, "+", p, copies, num_parts):
+        yield Composition(text, part_set)

@@ -9,6 +9,7 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
 from ..frozen import Frozen, set_field
+from .compositions import part_words
 
 DOMINO_MAX_WIDTH = 20
 
@@ -17,16 +18,11 @@ DOMINO_MAX_WIDTH = 20
 BLOCK_WIDTH = {"H": 2, "V": 1}
 
 
-def block_widths(t: str) -> tuple[int, ...]:
-    """The widths of a tiling's blocks, left to right."""
+def tiling_width(t: str) -> int:
     try:
-        return tuple(BLOCK_WIDTH[c] for c in t)
+        return sum([BLOCK_WIDTH[c] for c in t])
     except KeyError:
         raise InvalidInput(f"bad tiling {t!r}") from None
-
-
-def tiling_width(t: str) -> int:
-    return sum(block_widths(t))
 
 
 class DominoPair(Frozen):
@@ -61,15 +57,7 @@ class DominoPair(Frozen):
 
 def tilings(width: int) -> list[str]:
     """All block strings of the given width, in lexicographic order."""
-    def rec(blocks: str, rem: int) -> Iterator[str]:
-        if rem == 0:
-            yield blocks
-            return
-        for block, w in BLOCK_WIDTH.items():
-            if w <= rem:
-                yield from rec(blocks + block, rem - w)
-
-    return list(rec("", width))
+    return list(part_words(width, [(w, block) for block, w in BLOCK_WIDTH.items()]))
 
 
 def enum_domino_pairs(k: int, n: int) -> Iterator[DominoPair]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 from ..families import LACING_MODES as MODES
 
@@ -119,9 +119,12 @@ class Lacing(Frozen):
     def decode(cls, text: str) -> "Lacing":
         order: list[Hole] = []
         for tok in text.strip().split("-"):
-            if not tok or tok[0] not in "LR" or not (tok[1:].isascii() and tok[1:].isdigit()):
-                raise InvalidInput(f"bad hole token {tok!r}")
-            order.append((tok[0], int(tok[1:])))
+            try:
+                if tok[:1] not in ("L", "R"):
+                    raise ValueError
+                order.append((tok[0], ascii_int(tok[1:])))
+            except ValueError:
+                raise InvalidInput(f"bad hole token {tok!r}") from None
         k = sum(1 for h in order if h[0] == "L")
         n = len(order) - k
         return cls(k, n, tuple(order))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 
 MATCHING_MAX_SUM = 24
@@ -32,10 +32,10 @@ def _starts(word: str) -> list[tuple[str, int]]:
 
 def _point(text: str) -> tuple[int, int]:
     """(0 for U or 1 for L, index) of a point's text."""
-    line, idx = text[:1], text[1:]
-    if line not in ("U", "L") or not (idx.isascii() and idx.isdigit()):
-        raise InvalidInput(f"bad point {text!r}")
-    return "UL".index(line), int(idx)
+    try:
+        return ("U", "L").index(text[:1]), ascii_int(text[1:])
+    except ValueError:
+        raise InvalidInput(f"bad point {text!r}") from None
 
 
 def _name(p: tuple[int, int]) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 
 STAIRCASE_MAX_SUM = 28
@@ -58,7 +58,7 @@ class Staircase(Frozen):
             if a[:1] != "H" or b[:1] != "V":
                 raise InvalidInput(f"bad run pair {a},{b}")
             try:
-                runs.append((int(a[1:]), int(b[1:])))
+                runs.append((ascii_int(a[1:]), ascii_int(b[1:])))
             except ValueError:
                 raise InvalidInput(f"bad run pair {a},{b}") from None
         return cls(tuple(runs))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..errors import InstanceTooLarge, InvalidInput
+from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 
 SUM012_MAX_TERMS = 20
@@ -36,7 +36,7 @@ class Sum012(Frozen):
     def decode(cls, text: str) -> "Sum012":
         text = text.strip()
         try:
-            summands = [int(t) for t in text.split("+")] if text else []
+            summands = [ascii_int(t) for t in text.split("+")] if text else []
         except ValueError:
             raise InvalidInput(f"bad 0-1-2 sum {text!r}") from None
         if bad := [d for d in summands if d not in (0, 1, 2)]:  # so 10 is not the digits 1, 0

@@ -7,7 +7,7 @@ materialized only up to whatever bound a computation needs.
 """
 from __future__ import annotations
 
-from .errors import EmptyPartSet
+from .errors import EmptyPartSet, ascii_int
 from .frozen import Frozen, set_field
 
 _ODD = "odd"
@@ -53,7 +53,7 @@ class PartSet(Frozen):
         if t in ("s3", "geq2", ">=2"):
             return AT_LEAST_TWO
         try:
-            return PartSet.of(int(p) for p in t.split(","))
+            return PartSet.of(ascii_int(p) for p in t.split(","))
         except ValueError:
             raise EmptyPartSet(f"cannot parse part set {text!r}") from None
 

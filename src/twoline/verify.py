@@ -295,7 +295,7 @@ def suite_bijections(max_scale: int = 12) -> VerificationReport:
         ),
         "s1-to-odd": (
             "s1-to-odd-anchor", "1+2+2+1+2+1+2 maps to 1+5+3+3", (1, 5, 3, 3),
-            bij.composition_s1_to_s2(Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)).parts,
+            bij.composition_s1_to_s2(Composition("1+2+2+1+2+1+2", ONE_TWO)).parts,
         ),
     }
     maps = {name: (fn, inverse) for name, _, _, fn, inverse in families.maps()}

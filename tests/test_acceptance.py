@@ -129,7 +129,7 @@ def test_criterion_8_bijection_roundtrips():
         ClosedSet("00001110111000")
     ).summands == (0, 0, 2, 1, 2, 1, 0)
     anchor_comp = bij.composition_s1_to_s2(
-        Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)
+        Composition("1+2+2+1+2+1+2", ONE_TWO)
     ).parts == (1, 5, 3, 3)
     for c in rep.checks:
         if not c.ok:

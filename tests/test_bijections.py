@@ -239,12 +239,12 @@ class TestSplitHorizontals:
 
 class TestCompositionMaps:
     def test_domino_anchor(self):
-        c = Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)
+        c = Composition("1+2+2+1+2+1+2", ONE_TWO)
         assert bij.composition_s1_to_domino(c) == "VHHVHVH"
 
     def test_domino_trivial(self):
-        assert bij.composition_s1_to_domino(Composition((1,), ONE_TWO)) == "V"
-        assert bij.composition_s1_to_domino(Composition((2, 2), ONE_TWO)) == "HH"
+        assert bij.composition_s1_to_domino(Composition("1", ONE_TWO)) == "V"
+        assert bij.composition_s1_to_domino(Composition("2+2", ONE_TWO)) == "HH"
 
     def test_domino_roundtrip(self):
         for n in range(11):
@@ -252,11 +252,11 @@ class TestCompositionMaps:
                 assert bij.domino_to_composition_s1(bij.composition_s1_to_domino(c)) == c
 
     def test_odd_anchor(self):
-        c = Composition((1, 2, 2, 1, 2, 1, 2), ONE_TWO)
+        c = Composition("1+2+2+1+2+1+2", ONE_TWO)
         assert bij.composition_s1_to_s2(c).parts == (1, 5, 3, 3)
 
     def test_odd_smallest(self):
-        assert bij.composition_s1_to_s2(Composition((1,), ONE_TWO)).parts == (1, 1)
+        assert bij.composition_s1_to_s2(Composition("1", ONE_TWO)).parts == (1, 1)
 
     def test_odd_counts(self):
         fours = list(enum_compositions(ONE_TWO, 4))
@@ -275,7 +275,7 @@ class TestCompositionMaps:
 
     def test_rejects_foreign_parts(self):
         with pytest.raises(InvalidInput):
-            bij.composition_s1_to_s2(Composition((3,), ONE_TWO))
+            bij.composition_s1_to_s2(Composition("3", ONE_TWO))
 
 
 class TestStaircaseMaps:
@@ -300,7 +300,7 @@ class TestStaircaseMaps:
     def test_rejects_uneven_pair(self):
         with pytest.raises(InvalidInput):
             bij.composition_pair_to_staircase(
-                Composition((1, 1), ONE_TWO), Composition((2,), ONE_TWO)
+                Composition("1+1", ONE_TWO), Composition("2", ONE_TWO)
             )
 
 
@@ -365,7 +365,7 @@ def large_objects(size):
     s012 = bij.motzkin_to_s012(path)
     weighted = WeightedPath(_tokens(rng, ("C", "L", "UD", "DU"), size))
     matching = bij.weighted_path_to_matching(weighted)
-    s1 = Composition(tuple(rng.choice((1, 2)) for _ in range(size)), ONE_TWO)
+    s1 = Composition("+".join(str(rng.choice((1, 2))) for _ in range(size)), ONE_TWO)
     staircase = Staircase(tuple((rng.choice((1, 2)), rng.choice((1, 2))) for _ in range(size)))
     return {
         "MotzkinPath": path,

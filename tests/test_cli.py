@@ -159,6 +159,10 @@ class TestEnumerate:
         )
         assert out.splitlines() == ["2+5", "3+4", "4+3", "5+2"]
 
+    def test_part_set_numbers_are_ascii_digits(self, capsys):
+        assert run(capsys, "enumerate", "compositions", "--n", "3", "--set", "١,٣") == (
+            2, "", "twoline: cannot parse part set '١,٣'\n")
+
     def test_line_counts_match_counts(self, capsys):
         _, out, _ = run(capsys, "enumerate", "matchings", "--k", "3", "--n", "5")
         assert len(out.splitlines()) == 10
@@ -229,9 +233,9 @@ class TestMap:
         "text, result",
         [
             ("10", (2, "", "twoline: summand 10 not in 0..2\n")),  # not the digits 1 and 0
-            ("1+-1", (2, "", "twoline: summand -1 not in 0..2\n")),
-            ("01+2", (0, "HU\n", "")),  # each token is read as an int
-            (" 1 + 2 ", (0, "HU\n", "")),
+            ("1+-1", (2, "", "twoline: bad 0-1-2 sum '1+-1'\n")),
+            ("01+2", (0, "HU\n", "")),  # each token is read as a run of ASCII digits
+            (" 1 + 2 ", (2, "", "twoline: bad 0-1-2 sum '1 + 2'\n")),
             ("2+0", (2, "", "twoline: a 2 is immediately followed by a 0\n")),
             ("", (0, "\n", "")),
         ],
@@ -247,10 +251,29 @@ class TestMap:
             ("motzkin-to-012", "UHD", "2+1+0"),
             ("012-to-closed", "0+2+1", "001110"),
             ("closed-to-012", "001110", "0+2+1"),
+            ("s1-to-domino", "1+2+2", "VHH"),
+            ("domino-to-s1", "VHH", "1+2+2"),
         ],
     )
     def test_each_rename_reads_its_table_the_right_way_round(self, capsys, name, text, image):
         assert run(capsys, "map", name, text) == (0, image + "\n", "")
+
+    # int() would read each of these numbers: other scripts' digits, spaces, underscores
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("s2-to-s1", "١+٥"), "bad composition '١+٥'"),
+            (("s1-to-domino", "1+ 2"), "bad composition '1+ 2'"),
+            (("012-to-motzkin", "١+٢"), "bad 0-1-2 sum '١+٢'"),
+            (("staircase-to-compositions", "H١,V٢"), "bad run pair H١,V٢"),
+            (("chords-to-motzkin", "٤:١-٣:"), "bad chord configuration '٤:١-٣:'"),
+            (("chords-to-motzkin", "4:1_0-1_1:"), "bad pair '1_0-1_1': expected two integers 'i-j'"),
+            (("join-horizontals", "١-٢;", "--k", "2", "--n", "0"),
+             "bad pair '١-٢': expected two integers 'i-j'"),
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, capsys, argv, error):
+        assert run(capsys, "map", *argv) == (2, "", f"twoline: {error}\n")
 
     def test_invalid_domain_is_exit_2(self, capsys):
         # odd fence cannot be arranged as a matching

@@ -21,6 +21,8 @@ string kept if no arrow of the fence leaves it, and every sequence of run
 pairs kept if it sums to the target, against two searches that cut prefixes.
 `digit_words_oracle` keeps every word over three letters whose digits sum to
 the total, for the prefixes of the sums and paths that share the fence's search.
+`compositions_oracle` keeps every tuple of parts that sums to n, against the
+search that composition filters and domino tilings share.
 """
 from functools import cache
 from itertools import combinations, islice, permutations, product
@@ -41,13 +43,16 @@ from twoline.objects import (
     enum_012,
     enum_chords,
     enum_closed_sets,
+    enum_compositions,
     enum_lacings,
     enum_matchings,
     enum_peakless,
     enum_staircases,
     segments_cross,
+    tilings,
 )
 from twoline.objects import chords as chords_mod
+from twoline.objects import compositions as compositions_mod
 from twoline.objects import fence as fence_mod
 from twoline.objects import matching as matching_mod
 from twoline.objects import motzkin as motzkin_mod
@@ -55,6 +60,7 @@ from twoline.objects import staircase as staircase_mod
 from twoline.objects import sums012 as sums012_mod
 from twoline.objects.chords import _candidates
 from twoline.objects.lacing import _laced
+from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO, PartSet
 
 
 def _line_configs(size):
@@ -462,8 +468,9 @@ def test_a_path_prefix_builds_only_its_objects(monkeypatch):
         (sums012_mod, "SUM012_MAX_TERMS", lambda: enum_012(3000, 3000)),
         (motzkin_mod, "MOTZKIN_MAX_STEPS", lambda: enum_peakless(3000, 0)),
         (matching_mod, "MATCHING_MAX_SUM", lambda: enum_matchings(3000, 3000)),
+        (compositions_mod, "COMPOSITION_MAX_TOTAL", lambda: enum_compositions(ONE_TWO, 3000)),
     ],
-    ids=["closed sets", "sums", "paths", "matchings"],
+    ids=["closed sets", "sums", "paths", "matchings", "compositions"],
 )
 def test_words_longer_than_the_recursion_limit_arrive(monkeypatch, module, cap, enumerate_):
     """The word searches keep their own stacks, so a word's length is bound
@@ -480,4 +487,59 @@ def test_a_staircase_prefix_builds_only_its_objects(monkeypatch):
     built = _counting(monkeypatch, staircase_mod, "Staircase")
     head = list(islice(enum_staircases(7, 7), 10))
     assert head == staircases_oracle(7, 7)[:10]
+    assert len(built) <= 10
+
+
+@cache
+def compositions_oracle(members, n):
+    """Every tuple of members that sums to n, sorted: for each length, the
+    product of the members that leave room for the other parts."""
+    found = []
+    for size in range(n + 1):
+        fit = [m for m in members if m + (size - 1) * members[0] <= n]
+        found += [parts for parts in product(fit, repeat=size) if sum(parts) == n]
+    return sorted(found)
+
+
+ORACLE_SETS = [ONE_TWO, ODD, AT_LEAST_TWO, PartSet.of((1, 3)), PartSet.of((1, 2, 5))]
+
+
+@pytest.mark.parametrize("part_set", ORACLE_SETS, ids=["s1", "s2", "s3", "1,3", "1,2,5"])
+def test_compositions_equal_the_brute_force(part_set):
+    """Every filter value, alone and with the other, against the kept tuples."""
+    for n in range(15):
+        every = compositions_oracle(part_set.members_up_to(n), n)
+
+        def check(part_count=None, num_parts=None):
+            want = [
+                parts for parts in every
+                if (part_count is None or parts.count(part_count[0]) == part_count[1])
+                and (num_parts is None or len(parts) == num_parts)
+            ]
+            got = list(enum_compositions(part_set, n, part_count, num_parts))
+            assert [c.parts for c in got] == want, (n, part_count, num_parts)
+            assert [c.encode() for c in got] == ["+".join(map(str, parts)) for parts in want]
+
+        check()
+        for size in range(-1, n + 2):
+            check(num_parts=size)
+        for p in range(n + 2):
+            for copies in range(-1, n + 2):
+                check(part_count=(p, copies))
+        for p in (1, 2, 3, 5):
+            for copies in range(n // p + 1):
+                for size in range(copies, n + 1):
+                    check((p, copies), size)
+
+
+def test_tilings_are_the_renamed_s1_words():
+    for width in range(14):
+        words = [c.encode() for c in enum_compositions(ONE_TWO, width)]
+        assert tilings(width) == sorted(w.replace("+", "").replace("1", "V").replace("2", "H") for w in words)
+
+
+def test_a_composition_prefix_builds_only_its_objects(monkeypatch):
+    built = _counting(monkeypatch, compositions_mod, "Composition")
+    head = list(islice(enum_compositions(ONE_TWO, 20), 10))
+    assert [c.parts for c in head] == compositions_oracle((1, 2), 20)[:10]
     assert len(built) <= 10

@@ -93,11 +93,14 @@ def test_object_requests_load_no_dataclasses_or_inspect(argv):
 
 
 def test_an_enumeration_loads_only_its_family():
-    """Paths and closed sets load the module that holds their shared search too."""
+    """Paths, closed sets and domino tilings load the module that holds their
+    shared search too."""
     for argv, loaded in [
         (("matchings", "--k", "2", "--n", "2"), ["matching"]),
         (("motzkin", "--k", "2", "--n", "0"), ["motzkin", "sums012"]),
         (("closedsets", "--m", "5"), ["fence", "sums012"]),
+        (("compositions", "--n", "5"), ["compositions"]),
+        (("dominoes", "--k", "2", "--n", "2"), ["compositions", "domino"]),
     ]:
         code, modules = modules_after("enumerate", *argv)
         assert code == 0

@@ -11,6 +11,7 @@ from twoline import families
 from twoline import counting as cnt
 from twoline.errors import InstanceTooLarge, InvalidInput
 from twoline.objects import (
+    COMPOSITION_MAX_TOTAL,
     ChordConfig,
     ClosedSet,
     Composition,
@@ -275,10 +276,21 @@ class TestCompositions:
     def test_counts_match_series(self):
         from twoline.series import composition_gf_coeffs
 
-        for parts in (ONE_TWO, ODD, AT_LEAST_TWO):
-            gf = composition_gf_coeffs(parts, 10)
-            for n in range(11):
+        for parts in (ONE_TWO, ODD, AT_LEAST_TWO, PartSet.of((1, 3)), PartSet.of((1, 2, 5))):
+            gf = composition_gf_coeffs(parts, COMPOSITION_MAX_TOTAL)
+            for n in range(COMPOSITION_MAX_TOTAL + 1):
                 assert sum(1 for _ in enum_compositions(parts, n)) == gf.coeff(n)
+
+    def test_stores_its_text(self):
+        c = Composition.decode(" 01+2+2 ", ODD)
+        assert c == Composition("1+2+2", ODD)
+        assert (c.encode(), c.parts, c.n, c.sort_key()) == ("1+2+2", (1, 2, 2), 5, (1, 2, 2))
+        assert Composition.decode("").parts == ()
+
+    @pytest.mark.parametrize("text", ["١+٢", "1+ 2", "1+-2", "1_0", "+1", "1++2"])
+    def test_parts_are_ascii_digits(self, text):
+        with pytest.raises(InvalidInput, match="bad composition"):
+            Composition.decode(text, ONE_TWO)
 
     def test_sorted(self):
         assert_sorted_unique(list(enum_compositions(ONE_TWO, 9)))
@@ -289,7 +301,7 @@ class TestCompositions:
 
     def test_rejects_part_outside_set(self):
         with pytest.raises(InvalidInput):
-            Composition((1, 4), ONE_TWO).validate()
+            Composition("1+4", ONE_TWO).validate()
 
     @pytest.mark.parametrize("parts", [ONE_TWO, ODD, AT_LEAST_TWO], ids=["s1", "s2", "s3"])
     def test_filters_equal_filtering_every_composition(self, parts):
@@ -711,7 +723,7 @@ VALUES = [
     (DominoPair(3, 2, "VH", "VV"), "DominoPair(k=3, n=2, left='VH', right='VV')"),
     (ClosedSet("011001"), "ClosedSet(bits='011001')"),
     (Sum012("102"), "Sum012(digits='102')"),
-    (Composition((1, 3, 3), ODD), "Composition(parts=(1, 3, 3), part_set=PartSet(kind='odd', parts=()))"),
+    (Composition("1+3+3", ODD), "Composition(text='1+3+3', part_set=PartSet(kind='odd', parts=()))"),
     (WeightedPath("UHD"), "WeightedPath(steps='UHD')"),
     (ChordConfig(10, [(5, 7), (4, 8)], [(3, 9), (1, 10)]),
      "ChordConfig(n=10, inner=((4, 8), (5, 7)), cross=((1, 10), (3, 9)))"),
