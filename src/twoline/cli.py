@@ -21,7 +21,7 @@ import twoline  # its attributes import their module on first access (PEP 562)
 
 from . import counting as cnt
 from . import families
-from .errors import EmptyPartSet, InstanceTooLarge, InvalidInput, TwolineError
+from .errors import EmptyPartSet, InstanceTooLarge, InvalidInput, TwolineError, ascii_int
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -381,6 +381,11 @@ def cmd_asymptotic(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def integer(text: str) -> int:
+    """An integer option's value: an optional '-', then ASCII digits only."""
+    return -ascii_int(text[1:]) if text[:1] == "-" else ascii_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="write output to PATH")
@@ -394,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", parents=[common], help="print one exact count")
     pc.add_argument("family", choices=COUNTERS)
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--n", type=int)
+    pc.add_argument("--k", type=integer)
+    pc.add_argument("--n", type=integer)
     pc.set_defaults(func=cmd_count)
 
     pt = sub.add_parser(
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lines over the rows flattened left to right, offset 0)",
     )
     pt.add_argument("kind", choices=TABLES)
-    pt.add_argument("--max", type=int, required=True, help="last row index")
+    pt.add_argument("--max", type=integer, required=True, help="last row index")
     pt.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     pt.set_defaults(func=cmd_table)
 
@@ -413,22 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common], help="list objects, one encoding per line"
     )
     pe.add_argument("family", choices=families.FAMILIES)
-    pe.add_argument("--k", type=int)
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--m", type=int, help="fence size for closedsets")
-    pe.add_argument("--size", type=int, help="closed-set cardinality filter")
-    pe.add_argument("--cost", type=int, help="price for weighted paths")
+    pe.add_argument("--k", type=integer)
+    pe.add_argument("--n", type=integer)
+    pe.add_argument("--m", type=integer, help="fence size for closedsets")
+    pe.add_argument("--size", type=integer, help="closed-set cardinality filter")
+    pe.add_argument("--cost", type=integer, help="price for weighted paths")
     pe.add_argument("--set", help="part set for compositions: s1, s2, s3 or '1,2,5'")
-    pe.add_argument(
-        "--part-count",
-        nargs=2,
-        type=int,
-        metavar=("P", "C"),
-        help="keep compositions with part P appearing exactly C times",
-    )
-    pe.add_argument("--summands", type=int, help="keep compositions with this many parts")
+    pe.add_argument("--part-count", nargs=2, type=integer, metavar=("P", "C"),
+                    help="keep compositions with part P appearing exactly C times")
+    pe.add_argument("--summands", type=integer, help="keep compositions with this many parts")
     pe.add_argument("--mode", choices=families.LACING_MODES, default="non_self_crossing")
-    pe.add_argument("--limit", type=int, metavar="N", help="stop after N objects")
+    pe.add_argument("--limit", type=integer, metavar="N", help="stop after N objects")
     pe.set_defaults(func=cmd_enumerate)
 
     pm = sub.add_parser(
@@ -436,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pm.add_argument("bijection", choices=MAPS)
     pm.add_argument("object", help="canonical encoding of the input object")
-    pm.add_argument("--k", type=int, help="line sizes for join-horizontals")
-    pm.add_argument("--n", type=int)
+    pm.add_argument("--k", type=integer, help="line sizes for join-horizontals")
+    pm.add_argument("--n", type=integer)
     pm.set_defaults(func=cmd_map)
 
     pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     pv.add_argument("--suite", choices=tuple(families.SUITES), default="all")
-    pv.add_argument("--max", type=int, help="override the suite's scale")
+    pv.add_argument("--max", type=integer, help="override the suite's scale")
     pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.set_defaults(func=cmd_verify)
 
@@ -453,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
         "i+1 hole pairs)",
     )
     px.add_argument("sequence", choices=SEQUENCES)
-    px.add_argument("--terms", type=int, required=True)
+    px.add_argument("--terms", type=integer, required=True)
     px.set_defaults(func=cmd_export)
 
     pa = sub.add_parser(
         "asymptotic", parents=[common], help="leading-term estimate vs exact r(n)"
     )
-    pa.add_argument("--n", type=int, required=True)
+    pa.add_argument("--n", type=integer, required=True)
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.set_defaults(func=cmd_asymptotic)
     return p

@@ -7,12 +7,11 @@ InstanceTooLarge beyond the documented feasibility cutoffs.  For matchings
 and chord configurations that is not the string order of the encodings.
 
 Enumerators search depth first and carry the word built so far as the value
-its object stores, so no branch undoes what it did.  0-1-2 sums, peakless
-paths and closed sets share `sums012.digit_words`, compositions and domino
-tilings `compositions.part_words`: both keep their own stacks, as
-`enum_matchings` does; chords, lacings, staircases and weighted paths still
-recurse.  The lacing search alone keeps a set beside its word: its visit
-order as a tuple would make each hole test a scan.
+its object stores, so no branch undoes what it did.  Every word family comes
+from `words.words`, one search with its own stack, given the family's moves;
+`enum_matchings`, whose nodes carry two words, keeps a stack of its own, and
+only chords and lacings still recurse.  The lacing search alone keeps a set
+beside its word: its visit order as a tuple would make each hole test a scan.
 
 Each name below is imported from its module on first access (PEP 562) and
 then bound here, so using one family loads only that family's module.

@@ -7,6 +7,7 @@ from typing import Iterator
 from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 from ..partsets import PartSet
+from .words import words
 
 COMPOSITION_MAX_TOTAL = 24
 
@@ -57,10 +58,8 @@ def part_words(n: int, table, sep: str = "", p: int = 0, copies: int = 0,
     """The words of the compositions of n into the parts of `table`, a sequence
     of (part, letter) in the order the words take them, each part written as
     its letter with sep between two; only those with `copies` copies of part p
-    and, if size is set, `size` parts.  A state is what is left of n and the
-    copies of p and parts still due; a move enters one only if what is left
-    can take those copies and parts, so none below 0.  The moves are listed
-    first, then the search keeps its own stack of (word, state)."""
+    and, if size is set, `size` parts.  A state is (left of n, copies due,
+    parts due), entered only if what is left can take those copies and parts."""
     counted = size is not None
     parts = [q for q, _ in table] or [1]  # with no part, only n = size = 0 completes
     low, high = (min(parts), max(parts)) if counted else (0, n)  # (0, n) cuts nothing
@@ -68,27 +67,16 @@ def part_words(n: int, table, sep: str = "", p: int = 0, copies: int = 0,
     def alive(rem: int, due: int, left: int) -> bool:
         return 0 <= due and due * p <= rem and low * left <= rem <= high * left
 
-    states = [(n, copies, size if counted else 1)]  # uncounted, one part is always due
-    index = {states[0]: 0}
-    moves: list = []  # moves[i]: (letter, next state's index) from state i, last first; None at 0
-    for rem, due, left in states if alive(*states[0]) else ():  # grows as moves find states
-        moves.append([] if rem else None)
-        for q, letter in reversed(table) if rem else ():
-            after = (rem - q, due - (q == p), left - counted)
-            if q <= rem and alive(*after):
-                if after not in index:
-                    index[after] = len(states)
-                    states.append(after)
-                moves[-1].append((sep + letter if len(moves) > 1 else letter, index[after]))
-    stack = [("", 0)] if moves else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        word, i = pop()
-        if (row := moves[i]) is None:
-            yield word
-            continue
-        for letter, j in row:
-            push((word + letter, j))
+    def moves(state):
+        rem, due, left = state
+        if not rem:
+            return None
+        lead = sep if rem < n else ""
+        steps = [(lead + letter, (rem - q, due - (q == p), left - counted)) for q, letter in table]
+        return [(letter, after if after[0] else None) for letter, after in steps if alive(*after)]
+
+    start = (n, copies, size if counted else 1)  # uncounted, one part is always due
+    return words(start, moves) if alive(*start) else iter(())
 
 
 def enum_compositions(

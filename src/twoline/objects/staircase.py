@@ -13,6 +13,7 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
+from .words import words
 
 STAIRCASE_MAX_SUM = 28
 
@@ -74,16 +75,14 @@ def enum_staircases(k: int, n: int) -> Iterator[Staircase]:
     if k < 0 or n < 0:
         return
 
-    def rec(runs: tuple[Run, ...], rk: int, rn: int) -> Iterator[Staircase]:
-        if rk == 0 and rn == 0:
-            yield Staircase(runs)
-            return
-        for run in _RUN_TEXTS:
-            ck, cn = rk - run[0], rn - run[1]
-            if ck <= 2 * cn and cn <= 2 * ck:  # some staircase finishes (ck, cn)
-                yield from rec(runs + (run,), ck, cn)
+    def moves(state):  # into completable states only: some staircase finishes (ck, cn)
+        if state == (0, 0):
+            return None
+        steps = [(run, state[0] - run[0], state[1] - run[1]) for run in _RUN_TEXTS]
+        return [((run,), (ck, cn) if ck or cn else None) for run, ck, cn in steps
+                if ck <= 2 * cn and cn <= 2 * ck]
 
-    yield from rec((), k, n)
+    yield from map(Staircase, words((k, n), moves, ()))
 
 
 # Step paths are staircases (see the module docstring) under their own name.

@@ -6,6 +6,7 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
+from .words import words
 
 SUM012_MAX_TERMS = 20
 
@@ -47,8 +48,8 @@ class Sum012(Frozen):
 def digit_words(n: int, letters, total: int | None = None, last=None) -> Iterator[str]:
     """The n-digit words over 0 < 1 < 2 with no 0 right after a 2, in digit
     order, digit d written as letters[d] (the last as last[d], then below
-    len(last)), and only those whose digits add up to total if it is set.  The
-    search keeps its own stack and enters a prefix only if 0 <= need <= room[left]."""
+    len(last)), and only those whose digits add up to total if it is set.  A
+    state is (need, after a 2, digits left), entered only if 0 <= need <= room[left]."""
     last = last or letters
     top = len(last) - 1
     if total is None:  # need stays above every digit, and no room cuts it
@@ -57,31 +58,18 @@ def digit_words(n: int, letters, total: int | None = None, last=None) -> Iterato
     else:  # the largest sum of the last `left` digits
         room = [0] + [top + 2 * left for left in range(n)]
     if n < 0 or not 0 <= total <= room[n]:
-        return
-    if n == 0:
-        yield ""
-        return
-    # ends[after a 2][need]: the letters of a last digit that leave need 0
-    ends = [[tuple(e for d, e in enumerate(last) if (d or not after2) and 0 <= need - d <= room[0])
-             for need in range(total + 1)] for after2 in (False, True)]
-    zero, one, two = letters
-    stack = [("", total, False, n)]  # (word, need, ends in a 2, digits left)
-    pop, push = stack.pop, stack.append
-    while stack:
-        word, need, after2, left = pop()
-        if left == 1:
-            for e in ends[after2][need]:
-                yield word + e
-            continue
-        left -= 1
-        cap = room[left]
-        # pushed in reverse, so the smallest digit is taken first
-        if 2 <= need <= cap + 2:
-            push((word + two, need - 2, True, left))
-        if 1 <= need <= cap + 1:
-            push((word + one, need - 1, False, left))
-        if not after2 and need <= cap:
-            push((word + zero, need, False, left))
+        return iter(())
+
+    def moves(state):
+        need, after2, left = state
+        if not left:
+            return None
+        cap = room[left - 1]
+        return [(e, (need - d, d == 2, left - 1) if left > 1 else None)
+                for d, e in enumerate(letters if left > 1 else last)
+                if (d or not after2) and 0 <= need - d <= cap]
+
+    return words((total, False, n), moves)
 
 
 def enum_012(n: int, k: int) -> Iterator[Sum012]:

@@ -11,6 +11,7 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput
 from ..frozen import Frozen, set_field
+from .words import words
 
 WEIGHTED_MAX_COST = 18
 
@@ -57,18 +58,12 @@ def enum_weighted_paths(cost: int) -> Iterator[WeightedPath]:
     if cost < 0:
         return
 
-    def viable(rem: int, h: int) -> bool:
-        slack = rem - 3 * abs(h)
-        return slack >= 0 and slack % 2 == 0
+    def moves(state):  # into viable states only, so only a level path spends the budget
+        rem, h = state
+        if not rem:
+            return None
+        steps = [(s, rem - _HALF_COST[s], h + (s == "U") - (s == "D")) for s in "CDLU"]
+        return [(s, (r, nh) if r else None) for s, r, nh in steps
+                if r >= 3 * abs(nh) and (r - 3 * abs(nh)) % 2 == 0]
 
-    def rec(steps: str, rem: int, h: int) -> Iterator[WeightedPath]:
-        if rem == 0:  # viable() lets only level paths spend the whole budget
-            yield WeightedPath(steps)
-            return
-        for step in ("C", "D", "L", "U"):
-            nh = h + (1 if step == "U" else -1 if step == "D" else 0)
-            nrem = rem - _HALF_COST[step]
-            if viable(nrem, nh):
-                yield from rec(steps + step, nrem, nh)
-
-    yield from rec("", 2 * cost, 0)
+    yield from map(WeightedPath, words((2 * cost, 0), moves))

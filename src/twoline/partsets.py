@@ -35,14 +35,6 @@ class PartSet(Frozen):
         return PartSet(_EXPLICIT, items)
 
     @staticmethod
-    def odd() -> "PartSet":
-        return PartSet(_ODD)
-
-    @staticmethod
-    def at_least_two() -> "PartSet":
-        return PartSet(_GEQ2)
-
-    @staticmethod
     def parse(text: str) -> "PartSet":
         """Parse a CLI-style descriptor: 's1', 's2', 's3', 'odd', 'geq2' or '1,2,5'."""
         t = text.strip().lower()
@@ -84,5 +76,5 @@ class PartSet(Frozen):
 
 
 ONE_TWO = PartSet.of((1, 2))
-ODD = PartSet.odd()
-AT_LEAST_TWO = PartSet.at_least_two()
+ODD = PartSet(_ODD)
+AT_LEAST_TWO = PartSet(_GEQ2)

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import time
 from collections import Counter
@@ -398,14 +399,13 @@ def map_seconds(name, domain, size):
 @pytest.mark.parametrize("name, domain", [m[:2] for m in families.maps()], ids=[m[0] for m in families.maps()])
 def test_every_map_grows_about_linearly(name, domain):
     """A 4 times larger input takes at most 8 times as long, where a quadratic
-    map takes about 16 times.  The small size is timed by its best of three
-    runs; the large one passes on its first run within the bound, so that one
-    slow run on a busy host does not fail it."""
+    map takes about 16 times.  The two sizes are timed in alternating rounds
+    and their best times compared, so a busy spell on the host slows both
+    sizes' runs alike instead of failing the large one alone."""
     small, large = 2000, 8000
-    best = min(map_seconds(name, domain, small) for _ in range(3))
-    ratios = []
+    best = {small: math.inf, large: math.inf}
     for _ in range(3):
-        ratios.append(map_seconds(name, domain, large) / best)
-        if ratios[-1] <= 8:
-            return
-    pytest.fail(f"{name}: {large} / {small} input took {min(ratios):.1f} times as long")
+        for size in best:
+            best[size] = min(best[size], map_seconds(name, domain, size))
+    ratio = best[large] / best[small]
+    assert ratio <= 8, f"{name}: {large} / {small} input took {ratio:.1f} times as long"

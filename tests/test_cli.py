@@ -728,3 +728,51 @@ def test_the_probe_over_the_cap_is_refused_under_a_memory_limit():
     )
     assert proc.returncode == 4 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "512 MiB" in proc.stderr
+
+
+# the positional arguments each subcommand needs before its options
+COMMAND_PREFIX = {
+    "count": ("count", "r"), "table": ("table", "a"), "enumerate": ("enumerate", "compositions"),
+    "map": ("map", "s1-to-domino", "1+2"), "verify": ("verify",),
+    "export": ("export", "A051286"), "asymptotic": ("asymptotic",),
+}
+
+
+def integer_options():
+    """(command, option, number of values) for every integer option of the parser."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [
+        (command, action.option_strings[0], action.nargs or 1)
+        for command, parser in sub.choices.items()
+        for action in parser._actions if action.type is cli.integer
+    ]
+
+
+def test_no_option_reads_its_number_with_int():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert [
+        (command, action.dest) for command, parser in sub.choices.items()
+        for action in parser._actions if action.type is int
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "command, option, count", integer_options(), ids=[" ".join(o[:2]) for o in integer_options()]
+)
+def test_integer_options_read_ascii_digits_only(capsys, command, option, count):
+    """An optional '-' and then ASCII digits, as the object decoders read
+    numbers; int() would also take other scripts' digits, spaces, a plus sign
+    and underscores.  Anything else exits 2, in each of the option's values."""
+    dest = option[2:].replace("-", "_")
+    for text, value in (("12", 12), ("-3", -3), ("0", 0), ("007", 7)):
+        args = cli.build_parser().parse_args([*COMMAND_PREFIX[command], option, *[text] * count])
+        assert getattr(args, dest) == ([value] * count if count > 1 else value)
+    for text in ("٤", "١٢", " 4", "4 ", "1_0", "+4", "-", "--4", "-٣", "4.0", "0x4", ""):
+        for at in range(count):
+            values = ["1"] * count
+            values[at] = text
+            with pytest.raises(SystemExit) as exc:
+                main([*COMMAND_PREFIX[command], option, *values])
+            assert exc.value.code == 2, (option, text)
+            _, err = capsys.readouterr()
+            assert err.startswith("usage: ") and f"argument {option}: " in err

@@ -23,6 +23,8 @@ pairs kept if it sums to the target, against two searches that cut prefixes.
 the total, for the prefixes of the sums and paths that share the fence's search.
 `compositions_oracle` keeps every tuple of parts that sums to n, against the
 search that composition filters and domino tilings share.
+`weighted_paths_oracle` keeps every word over C, D, L, U with as many U as D
+steps whose half-prices add up to twice the cost.
 """
 from functools import cache
 from itertools import combinations, islice, permutations, product
@@ -48,6 +50,7 @@ from twoline.objects import (
     enum_matchings,
     enum_peakless,
     enum_staircases,
+    enum_weighted_paths,
     segments_cross,
     tilings,
 )
@@ -58,6 +61,7 @@ from twoline.objects import matching as matching_mod
 from twoline.objects import motzkin as motzkin_mod
 from twoline.objects import staircase as staircase_mod
 from twoline.objects import sums012 as sums012_mod
+from twoline.objects import weighted as weighted_mod
 from twoline.objects.chords import _candidates
 from twoline.objects.lacing import _laced
 from twoline.partsets import AT_LEAST_TWO, ODD, ONE_TWO, PartSet
@@ -469,8 +473,10 @@ def test_a_path_prefix_builds_only_its_objects(monkeypatch):
         (motzkin_mod, "MOTZKIN_MAX_STEPS", lambda: enum_peakless(3000, 0)),
         (matching_mod, "MATCHING_MAX_SUM", lambda: enum_matchings(3000, 3000)),
         (compositions_mod, "COMPOSITION_MAX_TOTAL", lambda: enum_compositions(ONE_TWO, 3000)),
+        (weighted_mod, "WEIGHTED_MAX_COST", lambda: enum_weighted_paths(3000)),
+        (staircase_mod, "STAIRCASE_MAX_SUM", lambda: enum_staircases(3000, 3000)),
     ],
-    ids=["closed sets", "sums", "paths", "matchings", "compositions"],
+    ids=["closed sets", "sums", "paths", "matchings", "compositions", "weighted paths", "staircases"],
 )
 def test_words_longer_than_the_recursion_limit_arrive(monkeypatch, module, cap, enumerate_):
     """The word searches keep their own stacks, so a word's length is bound
@@ -544,3 +550,25 @@ def test_a_composition_prefix_builds_only_its_objects(monkeypatch):
     head = list(islice(enum_compositions(ONE_TWO, 14), 10))
     assert [c.parts for c in head] == compositions_oracle((1, 2), 14)[:10]
     assert len(built) <= 10
+
+
+@cache
+def _weighted_words(max_cost):
+    """Half-price -> every word over C, D, L, U of at most max_cost steps with
+    as many U as D steps, in string order: C costs 1, U and D 1.5, L 2."""
+    half = {"C": 2, "D": 3, "L": 4, "U": 3}
+    found = {}
+    for length in range(max_cost + 1):
+        for steps in map("".join, product("CDLU", repeat=length)):
+            if steps.count("U") == steps.count("D"):
+                found.setdefault(sum(map(half.get, steps)), []).append(steps)
+    return {total: sorted(words) for total, words in found.items()}
+
+
+def weighted_paths_oracle(cost):
+    return _weighted_words(10).get(2 * cost, [])
+
+
+@pytest.mark.parametrize("cost", range(-1, 11))
+def test_weighted_paths_equal_the_brute_force(cost):
+    assert [p.steps for p in enum_weighted_paths(cost)] == weighted_paths_oracle(cost)

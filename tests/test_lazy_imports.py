@@ -97,10 +97,10 @@ def test_an_enumeration_loads_only_its_family():
     shared search too."""
     for argv, loaded in [
         (("matchings", "--k", "2", "--n", "2"), ["matching"]),
-        (("motzkin", "--k", "2", "--n", "0"), ["motzkin", "sums012"]),
-        (("closedsets", "--m", "5"), ["fence", "sums012"]),
-        (("compositions", "--n", "5"), ["compositions"]),
-        (("dominoes", "--k", "2", "--n", "2"), ["compositions", "domino"]),
+        (("motzkin", "--k", "2", "--n", "0"), ["motzkin", "sums012", "words"]),
+        (("closedsets", "--m", "5"), ["fence", "sums012", "words"]),
+        (("compositions", "--n", "5"), ["compositions", "words"]),
+        (("dominoes", "--k", "2", "--n", "2"), ["compositions", "domino", "words"]),
     ]:
         code, modules = modules_after("enumerate", *argv)
         assert code == 0
