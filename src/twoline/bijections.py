@@ -12,10 +12,11 @@ Each correspondence is stated once, and both directions read that one copy:
   writes these two words; `_lay_out` lays a line out from segments given
   from outside.
 - A weighted path's steps are the columns of a square matching's layout
-  (`_STEP_TO_COLUMN`), a closed set's bit pairs and a peakless path's steps
-  are 0-1-2 summands renamed by the tables their enumerators write with
-  (`objects.fence.DIGIT_TO_PAIR`, `objects.motzkin.DIGIT_TO_STEP`), and a
-  domino block's width is its {1,2}-part (`objects.domino.BLOCK_WIDTH`).
+  (`_STEP_TO_COLUMN`).  A closed set's bit pairs, a peakless path's steps
+  and a matching's layout read column by column are 0-1-2 summands renamed
+  by the tables their enumerators write with (`objects.fence.DIGIT_TO_PAIR`,
+  `objects.motzkin.DIGIT_TO_STEP`, `objects.matching.DIGIT_TO_OBJECTS`), and
+  a domino block's width is its {1,2}-part (`objects.domino.BLOCK_WIDTH`).
 
 A table read the wrong way round still gives a bijection, so round trips
 cannot catch it; known answers in the tests pin each table.
@@ -29,7 +30,7 @@ from .objects.compositions import Composition, join
 from .objects.chords import ChordConfig
 from .objects.domino import BLOCK_WIDTH, tiling_width
 from .objects.fence import DIGIT_TO_PAIR, ClosedSet
-from .objects.matching import Matching
+from .objects.matching import Matching, from_digits
 from .objects.motzkin import DIGIT_TO_STEP, MotzkinPath
 from .objects.staircase import Staircase
 from .objects.sums012 import Sum012
@@ -38,48 +39,7 @@ from .partsets import ODD, ONE_TWO
 
 
 # ---------------------------------------------------------------------------
-# matching layouts
-# ---------------------------------------------------------------------------
-
-def _lay_out(size: int, segments: Iterable[tuple[int, int]]) -> str:
-    """One line of `size` points with these sorted segments on it."""
-    objects = ["p"] * size
-    for a, _ in segments:
-        objects[a - 1:a + 1] = "s", ""  # one object for two points, so indices stay put
-    return "".join(objects)
-
-
-# ---------------------------------------------------------------------------
-# closed sets <-> matchings
-# ---------------------------------------------------------------------------
-
-def closed_set_to_matching(c: ClosedSet) -> Matching:
-    """Arrange non-members on the upper line and members on the lower line.
-
-    Each `10` in the bit string frees its member and the non-member after
-    it, and the free points join across.  Closedness makes the bits between
-    two `10`s read 0^(2t) 1^(2b): t upper and b lower segments.
-    """
-    c.validate()
-    if c.fence_size % 2 != 0:
-        raise InvalidInput("matching construction needs an even fence")
-    runs = c.bits.split("10")
-    return Matching(
-        "p".join(["s" * (run.count("0") // 2) for run in runs]),
-        "p".join(["s" * (run.count("1") // 2) for run in runs]),
-    )
-
-
-def matching_to_closed_set(m: Matching) -> ClosedSet:
-    """Inverse: the lower points are the members.  Between two free points,
-    the upper segments passed come before the lower segments passed."""
-    m.validate()
-    runs = zip(m.upper.split("p"), m.lower.split("p"))
-    return ClosedSet("10".join(["00" * len(up) + "11" * len(lo) for up, lo in runs]))
-
-
-# ---------------------------------------------------------------------------
-# 0-1-2 sums <-> closed sets and peakless paths: a word's digits renamed
+# 0-1-2 sums <-> closed sets, peakless paths and matchings: digits renamed
 # ---------------------------------------------------------------------------
 
 _PAIR_TO_DIGIT = {pair: digit for digit, pair in zip("012", DIGIT_TO_PAIR)}
@@ -88,12 +48,17 @@ _TO_STEPS = str.maketrans("012", DIGIT_TO_STEP)
 _TO_DIGITS = str.maketrans(DIGIT_TO_STEP, "012")
 
 
+def _pair_digits(bits: str) -> str:
+    """The 0-1-2 digits of an even fence's bits, a digit per bit pair."""
+    return "".join([_PAIR_TO_DIGIT[bits[i:i + 2]] for i in range(0, len(bits), 2)])
+
+
 def closed_set_to_012(c: ClosedSet) -> Sum012:
     """Summand i counts the members of the bit pair at 2i."""
     c.validate()
     if c.fence_size % 2 != 0:
         raise InvalidInput("0-1-2 construction needs an even fence")
-    return Sum012("".join([_PAIR_TO_DIGIT[c.bits[i:i + 2]] for i in range(0, c.fence_size, 2)]))
+    return Sum012(_pair_digits(c.bits))
 
 
 def sum012_to_closed_set(s: Sum012) -> ClosedSet:
@@ -109,6 +74,25 @@ def s012_to_motzkin(s: Sum012) -> MotzkinPath:
 def motzkin_to_s012(p: MotzkinPath) -> Sum012:
     p.validate()
     return Sum012(p.steps.translate(_TO_DIGITS))
+
+
+def closed_set_to_matching(c: ClosedSet) -> Matching:
+    """Arrange non-members on the upper line and members on the lower line.
+
+    A bit pair of two non-members is an upper segment, one of two members a
+    lower segment, and a `10` frees its member and the non-member after it,
+    which join across: the digits of `closed_set_to_012` read as a layout.
+    """
+    c.validate()
+    if c.fence_size % 2 != 0:
+        raise InvalidInput("matching construction needs an even fence")
+    return from_digits(_pair_digits(c.bits))
+
+
+def matching_to_closed_set(m: Matching) -> ClosedSet:
+    """Inverse: the lower points are the members."""
+    m.validate()
+    return ClosedSet(m.digits.translate(_TO_PAIRS))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +181,14 @@ def motzkin_to_chords(p: MotzkinPath) -> ChordConfig:
 # matchings <-> horizontal-segment layouts
 # ---------------------------------------------------------------------------
 
+def _lay_out(size: int, segments: Iterable[tuple[int, int]]) -> str:
+    """One line of `size` points with these sorted segments on it."""
+    objects = ["p"] * size
+    for a, _ in segments:
+        objects[a - 1:a + 1] = "s", ""  # one object for two points, so indices stay put
+    return "".join(objects)
+
+
 def matching_split_horizontals(m: Matching):
     """The same-line segments of each line, as two sorted tuples."""
     m.validate()
@@ -213,10 +205,13 @@ def matching_from_horizontals(
     left to right.  The segments come from outside, so the rebuilt matching
     must have the given sizes and hold exactly the given segments."""
     given = [sorted(tuple(sorted(seg)) for seg in segs) for segs in (upper, lower)]
+    refusal = f"no matching of {k} and {n} points has these segments"
+    if any(a < 1 or b > size for segs, size in zip(given, (k, n)) for a, b in segs):
+        raise InvalidInput(refusal)  # laid out, it would land elsewhere on its line
     m = Matching(_lay_out(k, given[0]), _lay_out(n, given[1]))
     m.validate()
     if (m.k, m.n, m.line_pairs("U"), m.line_pairs("L")) != (k, n, *given):
-        raise InvalidInput(f"no matching of {k} and {n} points has these segments")
+        raise InvalidInput(refusal)
     return m
 
 

@@ -6,12 +6,12 @@ yields valid objects in the order of the type's sort_key, raising
 InstanceTooLarge beyond the documented feasibility cutoffs.  For matchings
 and chord configurations that is not the string order of the encodings.
 
-Enumerators search depth first and carry the word built so far as the value
-its object stores, so no branch undoes what it did.  Every word family comes
-from `words.words`, one search with its own stack, given the family's moves;
-`enum_matchings`, whose nodes carry two words, keeps a stack of its own, and
-only chords and lacings still recurse.  The lacing search alone keeps a set
-beside its word: its visit order as a tuple would make each hole test a scan.
+Enumerators search depth first and carry the word built so far, so no branch
+undoes what it did.  Every word family comes from `words.words`, one search
+with its own stack, given the family's moves: a lacing is a word over the
+holes, and a matching is a 0-1-2 sum's digit word, renamed.  Only chords
+recurse, one frame per arc: a configuration has at most 6 arcs under their
+cap of 12 points.
 
 Each name below is imported from its module on first access (PEP 562) and
 then bound here, so using one family loads only that family's module.

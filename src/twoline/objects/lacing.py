@@ -15,7 +15,8 @@ Two modes are distinguished:
                      drawing has no crossings
 
 Holes sit in two columns at integer rows, so the crossing test needs no
-geometry: it compares row indices only, and is exact.
+geometry: it compares row indices only, and is exact.  `enum_lacings` spells
+visit orders as words over the holes, by the one word search of `words`.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from typing import Iterator
 from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
 from ..families import LACING_MODES as MODES
+from .words import words
 
 LACING_MAX_HOLES = 12
 
@@ -131,39 +133,37 @@ class Lacing(Frozen):
 
 
 def enum_lacings(k: int, n: int, mode: str) -> Iterator[Lacing]:
-    """Backtracking enumeration of valid lacings in visit-order.  A non-crossing
-    lacing visits each column top-down, so its sides form runs of one or two
-    holes.  It cannot cross: a later spanning segment has both rows no smaller
-    than an earlier one's, and a column segment joins adjacent rows.  `verify`
-    checks the converse by brute force."""
+    """The valid lacings in visit order: words over the holes, from the one word
+    search.  A state is the holes used (a bit mask), the last hole's side and
+    the length of its run there.  An unused hole may come next, the end hole
+    only last, and no run reaches 3, whose middle hole would be unlaced; the
+    knot joins L1 to an end on the right.  A non-crossing lacing visits each
+    column top-down, a hole only after the one above it: its runs join adjacent
+    rows, and a later spanning segment has both rows no smaller than an earlier
+    one's, so it cannot cross.  `verify` checks the converse by brute force."""
     if mode not in MODES:
         raise InvalidInput(f"unknown mode {mode!r}")
     if k + n > LACING_MAX_HOLES:
         raise InstanceTooLarge(f"lacing enumeration capped at k+n <= {LACING_MAX_HOLES}")
     if k < 1 or n < 1:
         return
-    end = ("R", 1) if mode == "right" else ("R", n)
     holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
-    total = k + n
-    seq: list[Hole] = [("L", 1)]
-    used = {("L", 1)}
+    full = (1 << (k + n)) - 1
+    end = 1 << holes.index(("R", 1) if mode == "right" else ("R", n))
+    # (letter, side, its bit, the bit of the hole above that must come first, or 0)
+    steps = [((h,), h[0], 1 << i, 1 << (i - 1) if mode == "non_self_crossing" and h[1] > 1 else 0)
+             for i, h in enumerate(holes)]
 
-    def rec() -> Iterator[Lacing]:
-        if len(seq) == total:
-            if seq[-1] == end:
-                yield Lacing(k, n, tuple(seq))
-            return
-        for h in holes:
-            if h in used or (h == end and len(seq) != total - 1):
+    def moves(state):
+        used, last, run = state
+        left = full ^ used  # the holes still to visit
+        found = []
+        for letter, side, bit, above in steps:
+            now = run + 1 if side == last else 1
+            if not left & bit or (bit == end and left != end) or now == 3 or above & left:
                 continue
-            if mode == "non_self_crossing" and h[1] > 1 and (h[0], h[1] - 1) not in used:
-                continue
-            seq.append(h)
-            used.add(h)
-            # seq[-2] has both neighbours now; the knot laces L1 to the last hole
-            if len(seq) == 2 or _laced(*seq[-3:]):
-                yield from rec()
-            seq.pop()
-            used.remove(h)
+            found.append((letter, (used | bit, side, now) if bit != left else None))
+        return found
 
-    yield from rec()
+    for order in words((1, "L", 1), moves, (holes[0],)):
+        yield Lacing(k, n, order)

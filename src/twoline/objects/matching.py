@@ -9,6 +9,11 @@ condition for segments between two parallel lines.
 A matching stores its layout alone: each line read left to right is a word,
 'p' a free point and 's' a segment joining two neighbouring points, and the
 free points of the two lines join across, in order.
+
+Read column by column, a layout is a word over 0 < 1 < 2 (`DIGIT_TO_OBJECTS`):
+between two free points an upper segment is a 0 and a lower segment a 2, and
+the free point of each line, joined across, a 1.  So the matchings of (k, n)
+points are the 0-1-2 sums of `sums012` with (k+n)/2 digits adding to n, renamed.
 """
 from __future__ import annotations
 
@@ -16,8 +21,13 @@ from typing import Iterator
 
 from ..errors import InstanceTooLarge, InvalidInput, ascii_int
 from ..frozen import Frozen, set_field
+from .sums012 import digit_words
 
 MATCHING_MAX_SUM = 24
+
+# digit -> the (upper, lower) objects it reads as, None on a line it adds nothing to
+DIGIT_TO_OBJECTS = (("s", None), ("p", "p"), (None, "s"))
+_TO_UPPER, _TO_LOWER = [str.maketrans(dict(zip("012", line))) for line in zip(*DIGIT_TO_OBJECTS)]
 
 
 def _starts(word: str) -> list[tuple[str, int]]:
@@ -56,6 +66,13 @@ class Matching(Frozen):
     @property
     def n(self) -> int:
         return len(self.lower) + self.lower.count("s")
+
+    @property
+    def digits(self) -> str:
+        """The digit word the layout reads as: in each gap between free points,
+        the upper segments' 0s before the lower segments' 2s."""
+        gaps = zip(self.upper.split("p"), self.lower.split("p"))
+        return "1".join(["0" * len(up) + "2" * len(lo) for up, lo in gaps])
 
     def _pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """The pairs, each point a 0 (upper) or 1 (lower) and an index: the
@@ -136,31 +153,17 @@ class Matching(Frozen):
         return cls(*map("".join, words))
 
 
-def enum_matchings(k: int, n: int) -> Iterator[Matching]:
-    """All noncrossing matchings of (k, n) points, in `Matching.sort_key` order.
+def from_digits(digits: str) -> Matching:
+    """The matching whose layout reads as this digit word."""
+    return Matching(digits.translate(_TO_UPPER), digits.translate(_TO_LOWER))
 
-    Depth first over the next upper object: a segment, or a free point whose
-    partner follows t lower segments, t = 0, 1, ...  Every choice can be
-    completed, and once the upper line is used up, the lower points left pair
-    up.  The search keeps its own stack of nodes, each with its next choice.
-    """
+
+def enum_matchings(k: int, n: int) -> Iterator[Matching]:
+    """All noncrossing matchings of (k, n) points, in `Matching.sort_key` order:
+    the digit words of length (k+n)/2 and digit sum n, renamed.  In digit order
+    an upper point pairs with the next one (0) before it pairs across (1), and
+    across with a lower point past fewer lower segments (2) first."""
     if k + n > MATCHING_MAX_SUM:
         raise InstanceTooLarge(f"matchings capped at k+n <= {MATCHING_MAX_SUM}")
-    if k < 0 or n < 0 or (k + n) % 2 == 1:
-        return
-    runs = ["s" * t for t in range(n // 2 + 1)]
-    # (upper word, lower word, upper and lower points left, choice): choice -1
-    # is an upper segment, t >= 0 a free point after t lower segments
-    stack = [("", "", k, n, -1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        upper, lower, up, lo, t = pop()
-        if not up:
-            yield Matching(upper, lower + runs[lo // 2])
-            continue
-        if 2 * t + 3 <= lo:  # the next choice here, taken after this one's
-            push((upper, lower, up, lo, t + 1))
-        if t >= 0:
-            push((upper + "p", lower + runs[t] + "p", up - 1, lo - 2 * t - 1, -1))
-        elif up > 1:
-            push((upper + "s", lower, up - 2, lo, -1))
+    if (k + n) % 2 == 0:
+        yield from map(from_digits, digit_words((k + n) // 2, "012", n))

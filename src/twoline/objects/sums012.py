@@ -1,5 +1,5 @@
-"""Ordered 0-1-2 sums in which no 2 is immediately followed by a 0, and the
-search that lists their digit words for peakless paths and closed sets too."""
+"""Ordered 0-1-2 sums with no 2 immediately followed by a 0, and the search
+that lists their digit words for peakless paths, closed sets and matchings."""
 from __future__ import annotations
 
 from typing import Iterator

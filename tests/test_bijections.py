@@ -57,6 +57,13 @@ class TestClosedSetToMatching:
         got.validate()
         assert got.encode() == FENCE16_IMAGE
 
+    def test_fourteen_vertex_example(self):
+        # digits 0021210: a table read the wrong way round still round-trips
+        got = bij.closed_set_to_matching(FENCE14)
+        assert got == Matching("sspps", "spsp") and got.digits == "0021210"
+        assert got.encode() == "U1-U2,U3-U4,U5-L3,U6-L6,U7-U8,L1-L2,L4-L5"
+        assert bij.matching_to_closed_set(got) == FENCE14
+
     def test_image_cardinality(self):
         images = Counter()
         for c in enum_closed_sets(8):

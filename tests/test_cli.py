@@ -275,6 +275,12 @@ class TestMap:
     def test_numbers_are_ascii_digits(self, capsys, argv, error):
         assert run(capsys, "map", *argv) == (2, "", f"twoline: {error}\n")
 
+    # past the line's end a segment would be appended, and 0-1 would start at index -1
+    @pytest.mark.parametrize("text", ["5-6;", "0-1;"])
+    def test_a_segment_off_its_line_is_refused_for_its_segments(self, capsys, text):
+        refusal = "twoline: no matching of 2 and 0 points has these segments\n"
+        assert run(capsys, "map", "join-horizontals", text, "--k", "2", "--n", "0") == (2, "", refusal)
+
     def test_invalid_domain_is_exit_2(self, capsys):
         # odd fence cannot be arranged as a matching
         code, _, _ = run(capsys, "map", "closed-to-matching", "000")

@@ -9,13 +9,17 @@ than they are asked for.  A matching was a list of point pairs then, and
 `normalize_oracle`, `validate_oracle` and `encode_oracle` keep how such a list
 was sorted, checked and written: `Matching.decode` must refuse a pair list
 with the message `validate_oracle` gives, or write it as `encode_oracle` does.
-`lacings_oracle` is brute force over every visit order, against the pruned backtracking of `enum_lacings`.  Since it validates
+`lacings_oracle` is brute force over every visit order, against the word
+search of `enum_lacings`.  Since it validates
 through `Lacing.validate`, it shares that method's crossing test, so
 `segments_cross_reference`, a general-position segment intersection, checks
 the two-column rule of `segments_cross` on its own.  `crossing_search_lacings`
 is the search `enum_lacings` ran before it walked columns top-down, testing
 each new segment against the drawn ones; the top-down walk must yield exactly
 its lacings, in its order, at sizes past the brute force's reach.
+`backtracking_lacings` is the recursion `enum_lacings` ran before it was a
+word search; in both modes the search must yield exactly its lacings, in its
+order, past the brute force's reach.
 `closed_sets_oracle` and `staircases_oracle` are brute force too: every bit
 string kept if no arrow of the fence leaves it, and every sequence of run
 pairs kept if it sums to the target, against two searches that cut prefixes.
@@ -237,6 +241,41 @@ def crossing_search_lacings(k, n):
     return found
 
 
+def backtracking_lacings(k, n, mode):
+    """The recursion `enum_lacings` ran before it was a word search: each hole
+    in order, if unused, the end only last and, for non-self-crossing lacings,
+    only after the hole above it, kept if the hole before it is laced."""
+    if k < 1 or n < 1:
+        return []
+    end = ("R", 1) if mode == "right" else ("R", n)
+    holes = [("L", i) for i in range(1, k + 1)] + [("R", j) for j in range(1, n + 1)]
+    total = k + n
+    seq = [("L", 1)]
+    used = {("L", 1)}
+    found = []
+
+    def rec():
+        if len(seq) == total:
+            if seq[-1] == end:
+                found.append(Lacing(k, n, tuple(seq)))
+            return
+        for h in holes:
+            if h in used or (h == end and len(seq) != total - 1):
+                continue
+            if mode == "non_self_crossing" and h[1] > 1 and (h[0], h[1] - 1) not in used:
+                continue
+            seq.append(h)
+            used.add(h)
+            # seq[-2] has both neighbours now; the knot laces L1 to the last hole
+            if len(seq) == 2 or _laced(*seq[-3:]):
+                rec()
+            seq.pop()
+            used.remove(h)
+
+    rec()
+    return found
+
+
 @cache
 def closed_sets_oracle(m):
     """Every bit string of length m, in string order, kept if no arrow leaves
@@ -408,6 +447,13 @@ def test_top_down_lacings_equal_the_crossing_search(total):
     for k in range(1, total):
         got = list(enum_lacings(k, total - k, "non_self_crossing"))
         assert got == crossing_search_lacings(k, total - k)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("total", range(8, 11))
+def test_lacings_equal_the_backtracking_search(mode, total):
+    for k in range(1, total):
+        assert list(enum_lacings(k, total - k, mode)) == backtracking_lacings(k, total - k, mode)
 
 
 def _counting(monkeypatch, module, name):

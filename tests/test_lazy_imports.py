@@ -96,7 +96,7 @@ def test_an_enumeration_loads_only_its_family():
     """Paths, closed sets and domino tilings load the module that holds their
     shared search too."""
     for argv, loaded in [
-        (("matchings", "--k", "2", "--n", "2"), ["matching"]),
+        (("matchings", "--k", "2", "--n", "2"), ["matching", "sums012", "words"]),
         (("motzkin", "--k", "2", "--n", "0"), ["motzkin", "sums012", "words"]),
         (("closedsets", "--m", "5"), ["fence", "sums012", "words"]),
         (("compositions", "--n", "5"), ["compositions", "words"]),

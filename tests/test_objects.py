@@ -12,6 +12,7 @@ from twoline import counting as cnt
 from twoline.errors import InstanceTooLarge, InvalidInput
 from twoline.objects import (
     COMPOSITION_MAX_TOTAL,
+    LACING_MAX_HOLES,
     ChordConfig,
     ClosedSet,
     Composition,
@@ -461,6 +462,12 @@ class TestLacings:
         for k, n in ((2, 1), (2, 3), (3, 4), (2, 4), (3, 5)):
             got = sum(1 for _ in enum_lacings(k, n, "non_self_crossing"))
             assert got == bt.value(k, n)
+
+    def test_noncrossing_counts_are_b_up_to_the_cap(self):
+        for total in range(2, LACING_MAX_HOLES + 1):
+            for k in range(1, total):
+                got = sum(1 for _ in enum_lacings(k, total - k, "non_self_crossing"))
+                assert got == cnt.b_value(k, total - k), (k, total - k)
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
